@@ -557,7 +557,7 @@ let fig6c () =
 
    Unlike the Figure 6 sweeps, this experiment measures real elapsed
    time: each cell runs the scheduler with an [Ent_par.Pool] of
-   [domains] domains (1 domain = the deterministic single-domain
+   [domains] domains (a one-domain pool is the deterministic
    scheduler) and reports wall-clock seconds for the whole
    submit-and-drain, plus the coordination share — the fraction of the
    cell's wall time spent in the grounding+coordination phase
@@ -579,9 +579,9 @@ let scaleup_domain_counts () =
   up 1
 
 let run_scaleup ~domains ~transactional kind ~n =
-  let runner = if domains > 1 then Some (Ent_par.Pool.create ~domains) else None in
+  let runner = Ent_par.Pool.create ~domains in
   Fun.protect
-    ~finally:(fun () -> Option.iter Ent_par.Pool.shutdown runner)
+    ~finally:(fun () -> Ent_par.Pool.shutdown runner)
     (fun () ->
       let config =
         {
@@ -1084,7 +1084,7 @@ let perfgate ~tolerance ~fresh ~baseline =
    BENCH_scaleup.json document, for both the NoSocial-T series —
    embarrassingly parallel at the DB-lock level, so the honest measure
    of scheduler overhead ([min_speedup]) — and the Entangled-T series,
-   whose scaling depends on the partitioned parallel matcher
+   whose scaling depends on the parallel grounding phase
    ([min_entangled]); Social-T is reported for information only. The
    gate is taken at 4 domains when the sweep has a 4-domain point
    (otherwise at the top measured count): CI runners have 4 vCPUs, so

@@ -101,12 +101,8 @@ let run_script path connections frequency parallel isolation_name show_tables
             t)
           slo_specs
       in
-      let runner =
-        if parallel > 1 then Some (Ent_par.Pool.create ~domains:parallel)
-        else None
-      in
-      Fun.protect
-        ~finally:(fun () -> Option.iter Ent_par.Pool.shutdown runner)
+      let runner = Ent_par.Pool.create ~domains:parallel in
+      Fun.protect ~finally:(fun () -> Ent_par.Pool.shutdown runner)
       @@ fun () ->
       let config =
         {
@@ -475,14 +471,11 @@ let top_script path connections frequency parallel isolation_name window delay
         if delay > 0.0 then Unix.sleepf delay
       in
       Ent_obs.Timeseries.set_on_window (Some render);
-      let runner =
-        if parallel > 1 then Some (Ent_par.Pool.create ~domains:parallel)
-        else None
-      in
+      let runner = Ent_par.Pool.create ~domains:parallel in
       Fun.protect
         ~finally:(fun () ->
           Ent_obs.Timeseries.set_on_window None;
-          Option.iter Ent_par.Pool.shutdown runner)
+          Ent_par.Pool.shutdown runner)
       @@ fun () ->
       let config =
         {
@@ -539,7 +532,7 @@ let frequency =
 let parallel =
   Arg.(value & opt int 1 & info [ "parallel" ] ~docv:"N"
          ~doc:"Execute runs on a pool of $(docv) OCaml domains. 1 (the \
-               default) is the deterministic single-domain mode.")
+               default) is a one-domain pool: the deterministic mode.")
 
 let isolation =
   Arg.(value & opt string "full" & info [ "isolation" ]

@@ -22,8 +22,6 @@ val workload_inputs : ?n:int -> string -> (Lint.input list, string) result
 (** Parse the textual schedule notation ({!Histparse}). *)
 val history_of_text : string -> (Ent_schedule.History.t, string) result
 
-val isolation_of_name : string -> (Ent_core.Isolation.t, string) result
-
 (** Execute a script under a {!Ent_schedule.Recorder} and return the
     schedule of the transactions that terminated. [txn_isolation]
     ([2pl], the default; [si]; [mixed]) tags the submitted programs'

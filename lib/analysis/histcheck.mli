@@ -34,4 +34,3 @@ val check : ?serializability:[ `Auto | `On | `Off ] -> Ent_schedule.History.t ->
 val ok : report -> bool
 
 val pp : Format.formatter -> report -> unit
-val pp_level : Format.formatter -> [ `Full | `No_widow | `Loose ] -> unit

@@ -30,6 +30,7 @@ let members t id =
   let out = if List.mem id out then out else id :: out in
   List.sort_uniq Int.compare out
 
+let root = find
 let same_group t a b = find t a = find t b
 let entangled t id = List.length (members t id) > 1
 let reset t = Hashtbl.reset t.parent

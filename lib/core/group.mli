@@ -18,6 +18,10 @@ val join : t -> int list -> unit
     that never entangled is its own singleton group). *)
 val members : t -> int -> int list
 
+(** The representative of [id]'s group: equal for two tasks exactly
+    when they share a group. *)
+val root : t -> int -> int
+
 val same_group : t -> int -> int -> bool
 
 (** True when the task has entangled with at least one other task. *)

@@ -38,15 +38,16 @@ type config = {
   trigger : trigger;
   snapshot_pool : bool;  (** persist dormant pool to the WAL after each run *)
   evaluation : evaluation_strategy;
-  runner : Ent_par.Pool.t option;
-      (** [None] (the default) is the deterministic single-domain mode,
-          bit-identical to the pre-parallel scheduler. [Some pool]
-          executes the step phase and the grounding phase of each run
-          on the pool's domains (DESIGN.md §9): independent
-          transactions take no shared lock thanks to the sharded lock
-          manager, per-table storage mutexes and the gcache mutex.
-          Wake-ups, group commits, coordination rounds and all
-          simulated-time accounting remain on the coordinator. *)
+  runner : Ent_par.Pool.t;
+      (** The domain pool that executes the step phase and the
+          grounding phase of each run (DESIGN.md §9). The default is a
+          one-domain pool, which spawns nothing and runs both phases as
+          in-order loops on the caller: the deterministic mode. On a
+          larger pool independent transactions take no shared lock
+          thanks to the sharded lock manager, per-table storage
+          mutexes and the gcache mutex. Wake-ups, group commits,
+          coordination rounds and all simulated-time accounting remain
+          on the coordinator. *)
 }
 
 val default_config : config
@@ -131,9 +132,6 @@ val stats : t -> stats
 (** Grounding-cache (hits, misses, invalidations) since {!create}
     ({!Ent_entangle.Gcache.stats} of the scheduler's own cache). *)
 val gcache_stats : t -> int * int * int
-
-(** Per-connection simulated load (diagnostics / benchmarks). *)
-val connection_loads : t -> float array
 
 (** Snapshot of who is blocked on whom and why: every unfinished task,
     with lock-wait edges (contested resource and holder mode) and

@@ -31,31 +31,6 @@ val evaluate :
   (int * Ir.t * Ground.grounding list) list ->
   (int * outcome) list
 
-(** [evaluate_parallel ~runner queries] answers the same queries as
-    {!evaluate}, but first splits the participants into
-    signature-connectivity components — queries can only provide for or
-    block one another when their head/postcondition atoms share a
-    (rel, arity) signature, transitively — and searches each component
-    on the [runner] pool. Per-seed budgets make the first pass exactly
-    the sequential search restricted to each component; components that
-    exhaust a seed budget are rerun with the round's unspent budget
-    split evenly among them (a deterministic function of the input, so
-    parallel rounds stay reproducible). Whenever no seed exhausts its
-    budget the result is identical to [evaluate] on the same input. *)
-val evaluate_parallel :
-  ?budget:int ->
-  runner:Ent_par.Pool.t ->
-  (int * Ir.t * Ground.grounding list) list ->
-  (int * outcome) list
-
-(** The signature-connectivity partition alone (exposed for tests):
-    groups entries into independent components. Entry order is kept
-    within each component; components are ordered by first
-    appearance. *)
-val partition :
-  (int * Ir.t * Ground.grounding list) list ->
-  (int * Ir.t * Ground.grounding list) list list
-
 (** The structural participation check alone (exposed for tests):
     returns the qids that would be [No_partner]. *)
 val structurally_blocked : (int * Ir.t) list -> int list

@@ -137,14 +137,3 @@ let groundings_of (query : Ir.t) valuations =
 
 let compute ?limit ~access ~env (query : Ir.t) =
   groundings_of query (valuations ?limit ~access ~env query.body)
-
-let pp_ground_atom ppf ((rel, values) : Ir.ground_atom) =
-  Format.fprintf ppf "%s(%a)" rel
-    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ") Value.pp)
-    values
-
-let pp_grounding ppf g =
-  let pp_atoms =
-    Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf " & ") pp_ground_atom
-  in
-  Format.fprintf ppf "{%a} %a" pp_atoms g.g_post pp_atoms g.g_head

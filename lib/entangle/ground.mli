@@ -52,5 +52,3 @@ val compute :
   env:Ent_sql.Eval.env ->
   Ir.t ->
   grounding list
-
-val pp_grounding : Format.formatter -> grounding -> unit

@@ -20,14 +20,14 @@ let stripes = 16
 
 let stripe () = (Domain.self () :> int) land (stripes - 1)
 
-type counter = { c_name : string; cells : int Atomic.t array }
-type gauge = { g_name : string; value : float Atomic.t }
+type counter = { cells : int Atomic.t array }
+type gauge = { value : float Atomic.t }
 
 (* Each histogram stripe has its own mutex: [Hist.observe] mutates a
    hashtable of buckets, which is not safe to share across domains
    (ground/gcache observe footprint histograms from worker domains).
    Stripe mutexes are uncontended except under real parallelism. *)
-type histogram = { h_name : string; h_stripes : (Mutex.t * Hist.t) array }
+type histogram = { h_stripes : (Mutex.t * Hist.t) array }
 
 type metric =
   | Counter of counter
@@ -62,7 +62,7 @@ let intern name make describe =
 let counter name =
   intern name
     (fun () ->
-      let c = { c_name = name; cells = Array.init stripes (fun _ -> Atomic.make 0) } in
+      let c = { cells = Array.init stripes (fun _ -> Atomic.make 0) } in
       (c, Counter c))
     (function Counter c -> Some c | _ -> None)
 
@@ -72,7 +72,7 @@ let counter_value c = Array.fold_left (fun acc cell -> acc + Atomic.get cell) 0 
 let gauge name =
   intern name
     (fun () ->
-      let g = { g_name = name; value = Atomic.make 0.0 } in
+      let g = { value = Atomic.make 0.0 } in
       (g, Gauge g))
     (function Gauge g -> Some g | _ -> None)
 
@@ -83,8 +83,7 @@ let histogram ?alpha name =
   intern name
     (fun () ->
       let h =
-        { h_name = name;
-          h_stripes =
+        { h_stripes =
             Array.init stripes (fun _ -> (Mutex.create (), Hist.create ?alpha ())) }
       in
       (h, Histogram h))
@@ -117,10 +116,6 @@ let hist h =
     List.iter (fun hs -> Hist.merge_into ~into:first hs) rest;
     first
 
-let counter_name c = c.c_name
-let gauge_name g = g.g_name
-let histogram_name h = h.h_name
-
 (* --- lookups (tests, CLI) --- *)
 
 let find name = locked (fun () -> Hashtbl.find_opt registry name)
@@ -150,23 +145,15 @@ type span_record = {
 }
 
 let tracing_on = ref false
-let trace_capacity = ref 4096
-let trace_ring : span_record option array ref = ref (Array.make 4096 None)
+let trace_ring : span_record option array = Array.make 4096 None
 let trace_next = ref 0  (* total spans ever recorded *)
 let span_depth = ref 0
 
 let set_tracing on = tracing_on := on
 let tracing () = !tracing_on
 
-let set_trace_capacity n =
-  if n <= 0 then invalid_arg "Obs.set_trace_capacity: capacity must be positive";
-  trace_capacity := n;
-  trace_ring := Array.make n None;
-  trace_next := 0
-
 let record_span sp =
-  let ring = !trace_ring in
-  ring.(!trace_next mod Array.length ring) <- Some sp;
+  trace_ring.(!trace_next mod Array.length trace_ring) <- Some sp;
   trace_next := !trace_next + 1
 
 let with_span name f =
@@ -194,16 +181,15 @@ let with_span name f =
 
 let spans () =
   (* oldest-first; the ring keeps the last [capacity] spans *)
-  let ring = !trace_ring in
-  let cap = Array.length ring in
+  let cap = Array.length trace_ring in
   let total = !trace_next in
   let first = if total > cap then total - cap else 0 in
   List.filter_map
-    (fun i -> ring.(i mod cap))
+    (fun i -> trace_ring.(i mod cap))
     (List.init (total - first) (fun k -> first + k))
 
 let spans_dropped () =
-  let cap = Array.length !trace_ring in
+  let cap = Array.length trace_ring in
   if !trace_next > cap then !trace_next - cap else 0
 
 (* --- snapshot --- *)
@@ -273,7 +259,7 @@ let reset () =
                 Mutex.unlock mu)
               h.h_stripes)
         registry);
-  Array.fill !trace_ring 0 (Array.length !trace_ring) None;
+  Array.fill trace_ring 0 (Array.length trace_ring) None;
   trace_next := 0;
   span_depth := 0;
   Event.reset ();

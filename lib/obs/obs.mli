@@ -22,7 +22,6 @@ val counter_value : counter -> int
 
 val gauge : string -> gauge
 val set : gauge -> float -> unit
-val gauge_value : gauge -> float
 
 val histogram : ?alpha:float -> string -> histogram
 val observe : histogram -> float -> unit
@@ -33,10 +32,6 @@ val observe : histogram -> float -> unit
     merge the stripes and are bitwise identical to an unstriped
     implementation when only one domain observed. *)
 val hist : histogram -> Hist.t
-
-val counter_name : counter -> string
-val gauge_name : gauge -> string
-val histogram_name : histogram -> string
 
 val find_counter : string -> int option
 val find_gauge : string -> float option
@@ -64,9 +59,6 @@ val with_span : string -> (unit -> 'a) -> 'a
 
 val spans : unit -> span_record list
 (** Completed spans still in the ring, oldest first. *)
-
-val spans_dropped : unit -> int
-val set_trace_capacity : int -> unit
 
 (** {1 Snapshots} *)
 

@@ -73,7 +73,6 @@ val report_json : t -> Json.t
     [...]}] — the ["slo"] section embedded in bench cells and printed
     by [youtopia run --slo]. *)
 
-val spec_of_json : Json.t -> (spec, string) result
 val specs_of_json : Json.t -> (spec list, string) result
 
 val load : string -> (spec list, string) result

@@ -70,8 +70,5 @@ val counter_delta : window -> string -> int
 
 val window_hist : window -> string -> Hist.t option
 
-val window_json : window -> Json.t
-(** [{start, width, counters, gauges, histograms}]. *)
-
 val to_json : ?last:int -> unit -> Json.t
 (** [{window_s, windows: [...]}] — optionally only the last [n]. *)

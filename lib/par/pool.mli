@@ -3,9 +3,8 @@
     The pool owns [domains - 1] worker domains; the caller participates
     in every parallel region, so [create ~domains:4] uses exactly four
     domains including the submitting one. With [domains <= 1] the pool
-    spawns nothing and [run_indexed] degenerates to a sequential loop,
-    which keeps the deterministic simulation mode bit-identical to the
-    pre-parallel code path. *)
+    spawns nothing and [run_indexed] degenerates to an in-order loop on
+    the caller: the scheduler's deterministic mode is such a pool. *)
 
 type t
 

@@ -58,5 +58,4 @@ val validity_errors : t -> string list
 val expand_quasi_reads : t -> t
 
 val pp_obj : Format.formatter -> obj -> unit
-val pp_op : Format.formatter -> op -> unit
 val pp : Format.formatter -> t -> unit

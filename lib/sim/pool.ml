@@ -6,11 +6,6 @@ let create ~connections =
 
 let connections t = Array.length t.clocks
 
-let least_loaded t =
-  let best = ref 0 in
-  Array.iteri (fun i c -> if c < t.clocks.(!best) then best := i) t.clocks;
-  !best
-
 let add_work t conn work = t.clocks.(conn) <- t.clocks.(conn) +. work
 
 let now t = Array.fold_left Float.max 0.0 t.clocks
@@ -21,7 +16,5 @@ let barrier t work =
 
 let advance_to t time =
   Array.iteri (fun i c -> if c < time then t.clocks.(i) <- time) t.clocks
-
-let reset t = Array.fill t.clocks 0 (Array.length t.clocks) 0.0
 
 let loads t = Array.copy t.clocks

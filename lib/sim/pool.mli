@@ -12,10 +12,6 @@ type t
 val create : connections:int -> t
 val connections : t -> int
 
-(** Pick the connection that frees up earliest (deterministic
-    tie-break: lowest index). *)
-val least_loaded : t -> int
-
 (** Add [work] seconds to connection [conn]'s clock. *)
 val add_work : t -> int -> float -> unit
 
@@ -29,9 +25,6 @@ val now : t -> float
 (** Advance every connection at least to [time] (e.g. when a new run
     starts at an arrival timestamp later than all current work). *)
 val advance_to : t -> float -> unit
-
-(** Reset all clocks to zero. *)
-val reset : t -> unit
 
 (** Per-connection clock snapshot (diagnostics). *)
 val loads : t -> float array

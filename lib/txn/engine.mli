@@ -96,10 +96,6 @@ val begin_txn : ?isolation:level -> t -> int
 (** True when the id denotes a live (begun, not yet finished) txn. *)
 val is_active : t -> int -> bool
 
-(** The isolation level of a transaction ([Serializable_2pl] for
-    unknown/finished ids). *)
-val level_of : t -> int -> level
-
 (** [access t txn] is the locked {!Ent_sql.Eval.access} view for a
     transaction. [grounding] selects table-level shared locks on reads
     (used while grounding entangled queries, §3.3.3); classical reads

@@ -410,6 +410,40 @@ let test_manual_trigger_and_misuse () =
      Alcotest.fail "query accepted a non-SELECT"
    with Invalid_argument _ -> ())
 
+(* Two grounding reads that deadlock: each transaction first writes
+   the table its partner's entangled query grounds against, so the
+   first grounding blocks on the partner's write lock and the second
+   closes the cycle and is chosen as the victim. The deadlock is
+   counted both in the scheduler stats and in the Obs counter that
+   [youtopia top] reads. *)
+let test_grounding_deadlock_counted () =
+  Ent_obs.Obs.reset ();
+  let config = { Scheduler.default_config with trigger = Scheduler.Manual } in
+  let m = Manager.create ~config () in
+  Manager.define_table m "A" [ ("k", Schema.T_int) ];
+  Manager.define_table m "B" [ ("k", Schema.T_int) ];
+  Manager.load_row m "A" [ Int 1 ];
+  Manager.load_row m "B" [ Int 1 ];
+  let program ~me ~partner ~writes ~reads =
+    Printf.sprintf
+      "BEGIN TRANSACTION;\n\
+       INSERT INTO %s VALUES (2);\n\
+       SELECT '%s', k AS @k INTO ANSWER R\n\
+       WHERE (k) IN (SELECT k FROM %s)\n\
+       AND ('%s', k) IN ANSWER R CHOOSE 1;\n\
+       COMMIT;"
+      writes me reads partner
+  in
+  List.iter
+    (fun (me, partner, writes, reads) ->
+      ignore (Manager.submit_string m (program ~me ~partner ~writes ~reads)))
+    [ ("p", "q", "A", "B"); ("q", "p", "B", "A") ];
+  Manager.run_once m;
+  let deadlocks = (Manager.stats m).deadlocks in
+  Alcotest.(check bool) "a grounding read deadlocked" true (deadlocks > 0);
+  Alcotest.(check (option int)) "Obs counter matches stats" (Some deadlocks)
+    (Ent_obs.Obs.find_counter "core.scheduler.deadlocks")
+
 let prop_scheduler_conserves_tasks =
   (* Random mixes of paired, lonely, rolling-back and classical
      transactions: after drain, every task is accounted for (final
@@ -516,7 +550,9 @@ let () =
             test_invalid_oracle_breaks_consistency ] );
       ( "scheduling",
         [ Alcotest.test_case "interval trigger" `Quick test_interval_trigger;
-          Alcotest.test_case "manual trigger + misuse" `Quick test_manual_trigger_and_misuse ] );
+          Alcotest.test_case "manual trigger + misuse" `Quick test_manual_trigger_and_misuse;
+          Alcotest.test_case "grounding deadlock counted" `Quick
+            test_grounding_deadlock_counted ] );
       ( "program",
         [ Alcotest.test_case "serialization" `Quick test_program_serialization ] );
       ( "properties",

@@ -140,182 +140,6 @@ let test_static_lock_order_across_shards () =
         (index e.eu < index e.ev))
     matrix.Ent_analysis.Matrix.edges
 
-(* --- coordination: signature partition + parallel evaluation --- *)
-
-module Coordinate = Ent_entangle.Coordinate
-module Ir = Ent_entangle.Ir
-module Ground = Ent_entangle.Ground
-module Value = Ent_storage.Value
-
-(* Random entangled-query sets built directly at the IR level: matched
-   pairs (head A(k) needing B(k), and its mirror), self-sufficient
-   solos (no postcondition), and lonely queries whose postcondition
-   relation never appears as any head (structurally No_partner). Even
-   keys add a decoy grounding first, so the search must backtrack off
-   a partnerless grounding before finding the real match. *)
-type coord_spec =
-  | Pair of int * int * int  (* head rel, partner rel, key *)
-  | Solo of int * int
-  | Lonely of int * int * int
-
-let rel i = Printf.sprintf "R%d" i
-let lonely_rel i = Printf.sprintf "L%d" i
-let atom r k = { Ir.rel = r; args = [ Ir.Const (Value.Int k) ] }
-let gatom r k = (r, [ Value.Int k ])
-
-let query ~head ~post =
-  { Ir.head; post; body = Ent_sql.Ast.True; binds = []; choose = 1 }
-
-let build_entries specs =
-  let next = ref 0 in
-  let fresh () =
-    let q = !next in
-    incr next;
-    q
-  in
-  List.concat_map
-    (fun spec ->
-      match spec with
-      | Pair (a, b, k) ->
-        let qa = fresh () and qb = fresh () in
-        let ga =
-          { Ground.g_head = [ gatom (rel a) k ]; g_post = [ gatom (rel b) k ] }
-        in
-        let gb =
-          { Ground.g_head = [ gatom (rel b) k ]; g_post = [ gatom (rel a) k ] }
-        in
-        let decoy =
-          {
-            Ground.g_head = [ gatom (rel a) (k + 1000) ];
-            g_post = [ gatom (rel b) (k + 1000) ];
-          }
-        in
-        let gsa = if k mod 2 = 0 then [ decoy; ga ] else [ ga ] in
-        [
-          (qa, query ~head:[ atom (rel a) k ] ~post:[ atom (rel b) k ], gsa);
-          (qb, query ~head:[ atom (rel b) k ] ~post:[ atom (rel a) k ], [ gb ]);
-        ]
-      | Solo (a, k) ->
-        let q = fresh () in
-        [
-          ( q,
-            query ~head:[ atom (rel a) k ] ~post:[],
-            [ { Ground.g_head = [ gatom (rel a) k ]; g_post = [] } ] );
-        ]
-      | Lonely (a, b, k) ->
-        let q = fresh () in
-        [
-          ( q,
-            query ~head:[ atom (rel a) k ] ~post:[ atom (lonely_rel b) k ],
-            [
-              {
-                Ground.g_head = [ gatom (rel a) k ];
-                g_post = [ gatom (lonely_rel b) k ];
-              };
-            ] );
-        ])
-    specs
-
-let coord_spec_gen =
-  QCheck2.Gen.(
-    oneof
-      [
-        map3
-          (fun a b k -> Pair (a, b, k))
-          (int_range 0 5) (int_range 0 5) (int_range 0 9);
-        map2 (fun a k -> Solo (a, k)) (int_range 0 5) (int_range 0 9);
-        map3
-          (fun a b k -> Lonely (a, b, k))
-          (int_range 0 5) (int_range 0 3) (int_range 0 9);
-      ])
-
-let print_coord_specs specs =
-  String.concat ";"
-    (List.map
-       (function
-         | Pair (a, b, k) -> Printf.sprintf "P(%d,%d,%d)" a b k
-         | Solo (a, k) -> Printf.sprintf "S(%d,%d)" a k
-         | Lonely (a, b, k) -> Printf.sprintf "L(%d,%d,%d)" a b k)
-       specs)
-
-(* The signature partition is a true partition: every entry lands in
-   exactly one component, and no postcondition pattern in one component
-   unifies with a head pattern in another (so no cross-component match
-   can exist). *)
-let prop_partition_is_true_partition =
-  QCheck2.Test.make ~count:60
-    ~name:"signature partition: exhaustive, disjoint, no cross-component match"
-    ~print:print_coord_specs
-    QCheck2.Gen.(list_size (int_range 1 24) coord_spec_gen)
-    (fun specs ->
-      let entries = build_entries specs in
-      let comps = Coordinate.partition entries in
-      let qid (q, _, _) = q in
-      let flat = List.concat comps in
-      if
-        List.sort compare (List.map qid flat)
-        <> List.sort compare (List.map qid entries)
-      then
-        QCheck2.Test.fail_report "components are not a permutation of input";
-      List.iteri
-        (fun i ci ->
-          List.iteri
-            (fun j cj ->
-              if i <> j then
-                List.iter
-                  (fun (_, (q1 : Ir.t), _) ->
-                    List.iter
-                      (fun (_, (q2 : Ir.t), _) ->
-                        List.iter
-                          (fun post ->
-                            List.iter
-                              (fun head ->
-                                if Ir.unifiable post head then
-                                  QCheck2.Test.fail_report
-                                    "cross-component (post, head) unifiable \
-                                     pair")
-                              q2.head)
-                          q1.post)
-                      cj)
-                  ci)
-            comps)
-        comps;
-      true)
-
-(* Parallel per-component evaluation is the sequential search: same
-   Answered/Empty/No_partner classification, identical groundings, in
-   the same (input) order, at 2–4 domains. *)
-let prop_parallel_evaluate_matches_sequential =
-  QCheck2.Test.make ~count:40
-    ~name:"evaluate_parallel ≡ evaluate on random query sets"
-    ~print:(fun (d, specs) ->
-      Printf.sprintf "domains=%d specs=%s" d (print_coord_specs specs))
-    QCheck2.Gen.(
-      pair (int_range 2 4) (list_size (int_range 1 24) coord_spec_gen))
-    (fun (domains, specs) ->
-      let entries = build_entries specs in
-      let seq = Coordinate.evaluate entries in
-      let pool = Pool.create ~domains in
-      let par =
-        Fun.protect
-          ~finally:(fun () -> Pool.shutdown pool)
-          (fun () -> Coordinate.evaluate_parallel ~runner:pool entries)
-      in
-      if List.length seq <> List.length par then
-        QCheck2.Test.fail_report "result lengths differ";
-      List.iter2
-        (fun (q1, o1) (q2, o2) ->
-          if q1 <> q2 then QCheck2.Test.fail_report "result order differs";
-          match (o1, o2) with
-          | Coordinate.Answered g1, Coordinate.Answered g2 when g1 = g2 -> ()
-          | Coordinate.Empty, Coordinate.Empty -> ()
-          | Coordinate.No_partner, Coordinate.No_partner -> ()
-          | _ ->
-            QCheck2.Test.fail_report
-              (Printf.sprintf "outcome differs for qid %d" q1))
-        seq par;
-      true)
-
 (* --- parallel/deterministic equivalence --- *)
 
 let final_tables (world : Travel.t) =
@@ -336,8 +160,8 @@ let final_tables (world : Travel.t) =
     (List.sort compare (Ent_storage.Catalog.table_names catalog))
 
 let run_case ~domains ~kind ~n =
-  let runner = if domains > 1 then Some (Pool.create ~domains) else None in
-  Fun.protect ~finally:(fun () -> Option.iter Pool.shutdown runner)
+  let runner = Pool.create ~domains in
+  Fun.protect ~finally:(fun () -> Pool.shutdown runner)
   @@ fun () ->
   let config =
     {
@@ -400,11 +224,6 @@ let () =
             test_same_resource_still_conflicts;
           Alcotest.test_case "static lock order across shards" `Quick
             test_static_lock_order_across_shards;
-        ] );
-      ( "coordination",
-        [
-          Tgen.to_alcotest prop_partition_is_true_partition;
-          Tgen.to_alcotest prop_parallel_evaluate_matches_sequential;
         ] );
       ( "equivalence",
         [ Tgen.to_alcotest prop_parallel_matches_deterministic ] );

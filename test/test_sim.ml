@@ -14,10 +14,7 @@ let test_pool_basics () =
   Alcotest.(check (float 0.0)) "starts at zero" 0.0 (Pool.now p);
   Pool.add_work p 0 5.0;
   Pool.add_work p 1 3.0;
-  Alcotest.(check (float 0.0)) "now = max" 5.0 (Pool.now p);
-  Alcotest.(check int) "least loaded is idle conn" 2 (Pool.least_loaded p);
-  Pool.add_work p 2 4.0;
-  Alcotest.(check int) "then the lighter one" 1 (Pool.least_loaded p)
+  Alcotest.(check (float 0.0)) "now = max" 5.0 (Pool.now p)
 
 let test_pool_barrier () =
   let p = Pool.create ~connections:2 in
@@ -27,15 +24,13 @@ let test_pool_barrier () =
   Alcotest.(check (float 0.0)) "conn 0 synced" 3.0 loads.(0);
   Alcotest.(check (float 0.0)) "conn 1 synced" 3.0 loads.(1)
 
-let test_pool_advance_and_reset () =
+let test_pool_advance () =
   let p = Pool.create ~connections:2 in
   Pool.add_work p 0 2.0;
   Pool.advance_to p 5.0;
   Alcotest.(check (float 0.0)) "advanced" 5.0 (Pool.now p);
   Pool.advance_to p 1.0;
-  Alcotest.(check (float 0.0)) "never goes back" 5.0 (Pool.now p);
-  Pool.reset p;
-  Alcotest.(check (float 0.0)) "reset" 0.0 (Pool.now p)
+  Alcotest.(check (float 0.0)) "never goes back" 5.0 (Pool.now p)
 
 let test_pool_rejects_zero_connections () =
   try
@@ -81,7 +76,7 @@ let () =
       ( "pool",
         [ Alcotest.test_case "basics" `Quick test_pool_basics;
           Alcotest.test_case "barrier" `Quick test_pool_barrier;
-          Alcotest.test_case "advance/reset" `Quick test_pool_advance_and_reset;
+          Alcotest.test_case "advance" `Quick test_pool_advance;
           Alcotest.test_case "zero connections" `Quick test_pool_rejects_zero_connections ] );
       ( "group",
         [ Alcotest.test_case "union-find" `Quick test_group_union;
