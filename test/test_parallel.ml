@@ -195,8 +195,10 @@ let prop_parallel_matches_deterministic =
   let gen =
     QCheck2.Gen.(triple (int_range 2 4) (int_range 20 60) (oneofl kinds))
   in
+  (* The name is kept short enough that the 80-column test report prints
+     it whole: a truncated name changes with the suite-column width. *)
   QCheck2.Test.make ~count:6
-    ~name:"parallel run certifies and matches deterministic effects"
+    ~name:"parallel run certifies and matches"
     ~print:(fun (d, n, k) -> Printf.sprintf "domains=%d n=%d kind=%s" d n (kind_name k))
     gen
     (fun (domains, n, kind) ->
