@@ -100,11 +100,6 @@ type t = {
   mutable last_run_end : float;
 }
 
-(* The one check of the pool size: a multi-domain pool runs the step
-   and grounding phases in parallel regions ([par_for]) and needs the
-   storage layer's concurrent paths. *)
-let multi_domain pool = Ent_par.Pool.domains pool > 1
-
 let create ?(config = default_config) engine =
   let t =
     {
@@ -139,17 +134,8 @@ let create ?(config = default_config) engine =
   in
   (* Events carry simulated time alongside the monotonic stamp; the
      newest scheduler owns the clock (tests and tools run one at a
-     time). The storage concurrency switch follows the same
-     newest-scheduler-wins convention: a multi-domain scheduler turns
-     on table-level locking/materialization, a one-domain one restores
-     the original lock-free lazy paths. *)
+     time). *)
   Event.set_sim_clock (fun () -> Ent_sim.Pool.now t.pool);
-  Ent_storage.Table.set_concurrent (multi_domain config.runner);
-  (* Versioned mode follows the same newest-scheduler-wins convention,
-     but is enabled lazily by [submit] on the first Snapshot program —
-     a pure-2PL scheduler never touches version chains and stays
-     byte-identical to the pre-MVCC engine. *)
-  Ent_storage.Table.set_versioned false;
   t
 
 let engine t = t.engine
@@ -168,23 +154,6 @@ let add_on_entangle t f =
 let now t = Ent_sim.Pool.now t.pool
 let advance_time t seconds = Ent_sim.Pool.advance_to t.pool (now t +. seconds)
 let stats t = t.stats
-
-(* Parallel phases take observability off the workers' hot path: while
-   the region runs, engine observer dispatch (the certifier/recorder
-   behind [obs_mu]) and event-ring emission buffer into per-domain
-   shards; the coordinator merges both — in emission-stamp order, an
-   exact linearization — when the region ends. Flushing sits in the
-   [finally] so an escaping exception cannot leave buffering on. *)
-let in_parallel_region t f =
-  Ent_txn.Engine.set_deferred_events t.engine true;
-  Event.set_buffered true;
-  Fun.protect
-    ~finally:(fun () ->
-      Ent_txn.Engine.set_deferred_events t.engine false;
-      Event.set_buffered false;
-      Ent_txn.Engine.flush_events t.engine;
-      Event.flush_buffered ())
-    f
 let outcome t task_id = Hashtbl.find_opt t.outcomes task_id
 
 let results t =
@@ -307,14 +276,19 @@ let members_live run ids =
 
 (* Run [work i] for every [0 <= i < n] on the scheduler's domain pool
    and [settle i] on the coordinator, in index order. A multi-domain
-   pool runs the work items inside a parallel region, then settles them
-   all. A one-domain pool settles each item straight after its work: a
-   settle drains simulated time, and the next item's events are stamped
-   with it. *)
+   pool runs the work items as a parallel region, flushes the events
+   buffered meanwhile (in a [finally], so an escaping exception cannot
+   strand them), then settles them all. A one-domain pool settles each
+   item straight after its work: a settle drains simulated time, and
+   the next item's events are stamped with it. *)
 let par_for t n ~work ~settle =
   let pool = t.config.runner in
-  if multi_domain pool then begin
-    in_parallel_region t (fun () -> Ent_par.Pool.run_indexed pool n work);
+  if Ent_par.Pool.domains pool > 1 then begin
+    Fun.protect
+      ~finally:(fun () ->
+        Ent_txn.Engine.flush_events t.engine;
+        Event.flush_buffered ())
+      (fun () -> Ent_par.Pool.run_indexed pool n work);
     for i = 0 to n - 1 do
       settle i
     done
@@ -786,13 +760,6 @@ let submit t (program : Program.t) =
   let task_id = t.next_task in
   t.next_task <- task_id + 1;
   Obs.incr m_submitted;
-  (* First snapshot-isolation program: turn on version chains from here
-     on. Never turned back off mid-scheduler — earlier 2PL writers left
-     no chain entries, which reads exactly like "visible to all". *)
-  if
-    program.isolation = Ent_txn.Engine.Snapshot
-    && not (Ent_storage.Table.versioned_enabled ())
-  then Ent_storage.Table.set_versioned true;
   let task = Executor.make_task ~task_id ~arrival:(now t) program in
   Hashtbl.replace t.task_index task_id task;
   Event.emit ~task:task_id Event.Pool_enter;

@@ -42,7 +42,6 @@ type key = {
 type t = {
   catalog : Catalog.t;
   entries : (key, entry) Hashtbl.t;
-  max_entries : int;
   mutable hits : int;
   mutable misses : int;
   mutable invalidations : int;
@@ -53,11 +52,13 @@ type t = {
   mu : Mutex.t;
 }
 
-let create ?(max_entries = 4096) catalog =
+(* Entry bound: the cache resets wholesale when full. *)
+let max_entries = 4096
+
+let create catalog =
   {
     catalog;
     entries = Hashtbl.create 64;
-    max_entries;
     hits = 0;
     misses = 0;
     invalidations = 0;
@@ -72,9 +73,6 @@ let with_mu mu f =
 
 let stats t = (t.hits, t.misses, t.invalidations)
 let size t = Hashtbl.length t.entries
-
-let clear t =
-  Hashtbl.reset t.entries
 
 (* --- host variables referenced by a body --- *)
 
@@ -266,7 +264,7 @@ let compute t ?(limit = 10_000) ?(bypass = false) ~access ~touch ~env
     (match finish t.catalog with
     | tables ->
       with_mu t.mu (fun () ->
-          if Hashtbl.length t.entries >= t.max_entries then
+          if Hashtbl.length t.entries >= max_entries then
             Hashtbl.reset t.entries;
           Hashtbl.replace t.entries key
             { e_valuations = vals; e_tables = tables };

@@ -31,9 +31,9 @@
 type t
 
 (** [create catalog] makes an empty cache over [catalog]'s live
-    tables. [max_entries] bounds the entry count (the cache resets
-    wholesale when full). *)
-val create : ?max_entries:int -> Ent_storage.Catalog.t -> t
+    tables. It holds at most 4096 entries and resets wholesale when
+    full. *)
+val create : Ent_storage.Catalog.t -> t
 
 (** [compute t ~access ~touch ~env query] returns [query]'s groundings
     and whether they were served from cache. On a miss the enumeration
@@ -63,6 +63,3 @@ val stats : t -> int * int * int
 
 (** Live entry count. *)
 val size : t -> int
-
-(** Drop every cached entry (counters keep their values). *)
-val clear : t -> unit

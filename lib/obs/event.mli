@@ -59,7 +59,7 @@ type t = {
   txn : int;  (** engine txn id, [-1] when unknown *)
   task : int;  (** scheduler task id, [-1] when unknown *)
   domain : int;  (** OCaml domain that emitted the event (0 = initial
-                     domain; always 0 in deterministic mode) *)
+                     domain; always 0 on a one-domain pool) *)
   kind : kind;
 }
 
@@ -78,18 +78,14 @@ val emit : ?txn:int -> ?task:int -> kind -> unit
     omitted but [txn] is registered, the task is resolved from the
     registry. *)
 
-val set_buffered : bool -> unit
-(** Switch emission into per-domain buffering: each {!emit} appends to
-    a shard for its executing domain — recording its true timestamps
-    and a global atomic order stamp — instead of taking the shared ring
-    mutex. The scheduler enables this around parallel phases and calls
-    {!flush_buffered} at the phase boundary. *)
-
 val flush_buffered : unit -> unit
-(** Merge all buffered events into the ring, sorted by their emission
-    order stamp — an exact linearization of emission order, so per-txn
-    event order (and cross-txn lock hand-off order) is preserved.
-    Sequence numbers are assigned at flush. No-op with nothing
+(** While a parallel region runs ({!Region.running}), {!emit} appends
+    to a stamped per-domain buffer — recording its true timestamps —
+    instead of taking the shared ring mutex. [flush_buffered] merges
+    everything buffered into the ring in emission order — an exact
+    linearization, so per-txn event order (and cross-txn lock hand-off
+    order) is preserved. Sequence numbers are assigned at flush. Call
+    it on the coordinator once the region has ended. No-op with nothing
     buffered. *)
 
 val register_txn : txn:int -> task:int -> unit

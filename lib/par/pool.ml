@@ -109,19 +109,27 @@ let run_indexed t n f =
       { run_one = f; total = n; next = Atomic.make 0;
         completed = 0; failed = None }
     in
-    Mutex.lock t.mu;
-    t.job <- Some job;
-    t.gen <- t.gen + 1;
-    Condition.broadcast t.cv;
-    Mutex.unlock t.mu;
-    work_loop t job;
-    Mutex.lock t.mu;
-    while job.completed < job.total do
-      Condition.wait t.done_cv t.mu
-    done;
-    t.job <- None;
-    let failed = job.failed in
-    Mutex.unlock t.mu;
+    (* The region is marked running before any worker can pick up an
+       item and until every item has completed, so the layers reading
+       [Region.running] take their concurrent paths exactly while more
+       than one domain may touch them. *)
+    let failed =
+      Ent_obs.Region.within (fun () ->
+          Mutex.lock t.mu;
+          t.job <- Some job;
+          t.gen <- t.gen + 1;
+          Condition.broadcast t.cv;
+          Mutex.unlock t.mu;
+          work_loop t job;
+          Mutex.lock t.mu;
+          while job.completed < job.total do
+            Condition.wait t.done_cv t.mu
+          done;
+          t.job <- None;
+          let failed = job.failed in
+          Mutex.unlock t.mu;
+          failed)
+    in
     match failed with None -> () | Some e -> raise e
   end
 

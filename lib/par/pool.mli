@@ -21,7 +21,11 @@ val run_indexed : t -> int -> (int -> unit) -> unit
     caller participates. Returns when all [n] items completed; if any
     item raised, one of the exceptions is re-raised in the caller after
     the region has quiesced. Not reentrant: a pool runs one region at a
-    time, and [f] must not submit to the same pool. *)
+    time, and [f] must not submit to the same pool.
+
+    With more than one domain and more than one item, the call is a
+    parallel region: {!Ent_obs.Region.running} holds throughout it.
+    Otherwise the items run inline on the caller, outside any region. *)
 
 val shutdown : t -> unit
 (** Joins all worker domains. The pool must not be used afterwards.

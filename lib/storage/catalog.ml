@@ -1,11 +1,16 @@
-type t = { tables : (string, Table.t) Hashtbl.t }
+type t = {
+  tables : (string, Table.t) Hashtbl.t;
+  chains : bool Atomic.t;  (* every table's version-chain switch *)
+}
 
-let create () = { tables = Hashtbl.create 16 }
+let create () = { tables = Hashtbl.create 16; chains = Atomic.make false }
+let enable_chains t = Atomic.set t.chains true
+let chains_enabled t = Atomic.get t.chains
 
 let create_table t name schema =
   if Hashtbl.mem t.tables name then
     invalid_arg ("Catalog.create_table: table exists: " ^ name);
-  let table = Table.create ~name schema in
+  let table = Table.create ~name ~chains:t.chains schema in
   Hashtbl.add t.tables name table;
   table
 

@@ -4,6 +4,14 @@ type t
 
 val create : unit -> t
 
+(** Turn version chains on for every table of the catalog, present and
+    future: from now on each row mutation pushes a writer-tagged
+    before-image (see {!Table}). One-way; chains start off. The engine
+    calls it at its first snapshot-isolation transaction. *)
+val enable_chains : t -> unit
+
+val chains_enabled : t -> bool
+
 (** [create_table t name schema] makes and registers a fresh table.
     @raise Invalid_argument when [name] already exists. *)
 val create_table : t -> string -> Schema.t -> Table.t

@@ -25,25 +25,14 @@ type change = {
    changed. *)
 let changelog_cap = 256
 
-(* Concurrent mode (set while a scheduler runs with a domain pool):
-   mutators take the per-table mutex and read paths materialize their
-   result under it, because IS (reader) and IX (writer) DB locks are
-   compatible, so an index probe can race a concurrent insert's
-   Hashtbl mutation. In the default deterministic mode every code path
-   below is exactly the pre-parallel one — no locking, same lazy
-   sequences — so existing fixtures stay bit-identical. *)
-let concurrent = Atomic.make false
-let set_concurrent b = Atomic.set concurrent b
-
-(* Versioned mode (set by the scheduler once a snapshot-isolation
-   transaction is submitted): every mutation additionally pushes a
-   writer-tagged before-image onto the row's version chain, so
-   snapshot readers can reconstruct the row as of their begin
-   timestamp. Off — the default — no chain is ever touched, keeping
-   deterministic 2PL runs bit-identical to the unversioned engine. *)
-let versioned = Atomic.make false
-let set_versioned b = Atomic.set versioned b
-let versioned_enabled () = Atomic.get versioned
+(* Inside a parallel region (more than one domain running, see
+   [Ent_obs.Region]) mutators take the per-table mutex and read paths
+   materialize their result under it, because IS (reader) and IX
+   (writer) DB locks are compatible, so an index probe can race a
+   concurrent insert's Hashtbl mutation. Outside a region only the
+   coordinator runs, and every code path below is exactly the
+   single-domain one — no locking, same lazy sequences. *)
+let concurrent () = Ent_obs.Region.running ()
 
 (* One link of a row's version chain, newest first: [v_writer] made a
    write whose before-image was [v_before] ([None] = the row did not
@@ -70,10 +59,11 @@ type t = {
   mutable changes : (int * change) list;  (* newest first *)
   mutable changes_len : int;
   mutable change_floor : int;
+  chains_on : bool Atomic.t;  (* shared by the tables of one catalog *)
   mu : Mutex.t;
 }
 
-let create ?(name = "<anon>") schema =
+let create ?(name = "<anon>") ?(chains = Atomic.make false) schema =
   {
     name;
     schema;
@@ -87,6 +77,7 @@ let create ?(name = "<anon>") schema =
     changes = [];
     changes_len = 0;
     change_floor = 0;
+    chains_on = chains;
     mu = Mutex.create ();
   }
 
@@ -94,11 +85,11 @@ let name t = t.name
 let schema t = t.schema
 let version t = Atomic.get t.version
 
-(* Run [f] under the table mutex in concurrent mode, plainly otherwise.
-   Never nested: internal helpers (note_change, iter, get, ...) do not
-   lock themselves. *)
+(* Run [f] under the table mutex inside a parallel region, plainly
+   otherwise. Never nested: internal helpers (note_change, iter, get,
+   ...) do not lock themselves. *)
 let locked t f =
-  if Atomic.get concurrent then begin
+  if concurrent () then begin
     Mutex.lock t.mu;
     match f () with
     | v -> Mutex.unlock t.mu; v
@@ -149,13 +140,21 @@ let changes_since t since =
         Some (collect [] t.changes)
       end)
 
-(* Called under [locked] by every mutator: in versioned mode, push the
-   before-image onto the row's chain, tagged with the writing
-   transaction (0 = bootstrap/recovery, visible to everyone). *)
+let push_version_unlocked t ~writer id before =
+  let entries = Option.value ~default:[] (Hashtbl.find_opt t.chains id) in
+  Hashtbl.replace t.chains id ({ v_writer = writer; v_before = before } :: entries)
+
+(* Called under [locked] by every mutator: once the catalog's chains
+   are on, push the before-image onto the row's chain, tagged with the
+   writing transaction (0 = bootstrap/recovery, visible to everyone).
+   Every write pushes, whatever its writer: a write that skipped the
+   chain would let a snapshot walk fall through to an older
+   before-image. *)
 let note_version t ~writer id before =
-  if Atomic.get versioned then
-    let entries = Option.value ~default:[] (Hashtbl.find_opt t.chains id) in
-    Hashtbl.replace t.chains id ({ v_writer = writer; v_before = before } :: entries)
+  if Atomic.get t.chains_on then push_version_unlocked t ~writer id before
+
+let push_version t ~writer id before =
+  locked t (fun () -> push_version_unlocked t ~writer id before)
 
 let ensure_capacity t id =
   let n = Array.length t.slots in
@@ -274,12 +273,13 @@ let counted seq =
       pair)
     seq
 
-(* Read-path publication: deterministic mode streams the raw sequence
-   lazily (unchanged behaviour); concurrent mode forces it to a list
-   under the table mutex, then streams the list. Row-read metrics are
-   charged per row consumed in both modes. *)
+(* Read-path publication: outside a parallel region the raw sequence
+   streams lazily; inside one it is forced to a list under the table
+   mutex, then the list streams. Row-read metrics are charged per row
+   consumed either way. A lazy sequence never outlives the work item
+   that created it, so none is consumed across a region boundary. *)
 let published t raw =
-  if Atomic.get concurrent then
+  if concurrent () then
     counted (List.to_seq (locked t (fun () -> List.of_seq (raw ()))))
   else counted (raw ())
 
@@ -411,12 +411,12 @@ let value_at_unlocked t id ~visible =
 let read_at t id ~visible =
   locked t (fun () -> value_at_unlocked t id ~visible)
 
-(* Snapshot scans materialize under the mutex (concurrent mode) or
-   plainly (deterministic mode): they must visit deleted slots whose
-   chains still hold a version some snapshot can see, so the lazy
-   slot sequence does not apply. Indexes reflect the live state only
-   and are bypassed; row-read metrics are charged per element
-   consumed, as on the live paths. *)
+(* Snapshot scans materialize (under the mutex inside a parallel
+   region): they must visit deleted slots whose chains still hold a
+   version some snapshot can see, so the lazy slot sequence does not
+   apply. Indexes reflect the live state only and are bypassed;
+   row-read metrics are charged per element consumed, as on the live
+   paths. *)
 let rows_at t ~visible =
   locked t (fun () ->
       let acc = ref [] in

@@ -10,26 +10,19 @@ type t
 
 type row_id = int
 
-(** Concurrent mode, set by the scheduler while a domain pool is
-    active: mutators take a per-table mutex and lazy read paths
-    materialize their result under it (an IS-locked index probe may
-    otherwise race a compatible IX writer's index maintenance). Off —
-    the default — every path is the original lock-free lazy code, so
-    deterministic runs are bit-identical to the pre-parallel engine.
-    Global, not per-table: flip it only around a parallel run. *)
-val set_concurrent : bool -> unit
+(** Concurrency: inside a parallel region ({!Ent_obs.Region.running})
+    mutators take a per-table mutex and lazy read paths materialize
+    their result under it (an IS-locked index probe may otherwise race
+    a compatible IX writer's index maintenance). Outside a region only
+    one domain runs and every path is the original lock-free lazy
+    code.
 
-(** Versioned mode, set by the scheduler once a snapshot-isolation
-    transaction has been submitted: every row mutation additionally
-    pushes a writer-tagged before-image onto the row's version chain,
-    enabling the [_at] snapshot read paths below. Off — the default —
-    chains are never touched and the table behaves exactly as the
-    unversioned engine (deterministic 2PL runs stay bit-identical).
-    Global, like {!set_concurrent}. *)
-val set_versioned : bool -> unit
-
-(** Whether versioned mode is currently on. *)
-val versioned_enabled : unit -> bool
+    Version chains: a table pushes a writer-tagged before-image onto
+    the row's version chain on every mutation once its [chains] switch
+    is on, enabling the [_at] snapshot read paths below. The switch is
+    shared by every table of one catalog and turned on, for good, by
+    {!Catalog.enable_chains}; while it is off no chain is touched and
+    the table behaves exactly as an unversioned one. *)
 
 (** One committed-or-not physical write, as seen by the changelog:
     insert = [None -> Some], delete = [Some -> None], update = both. *)
@@ -38,7 +31,10 @@ type change = {
   c_after : Tuple.t option;
 }
 
-val create : ?name:string -> Schema.t -> t
+(** [create ?chains schema] makes an empty table. [chains] is the
+    version-chain switch it reads (its catalog's); without one the
+    table gets a private switch that stays off. *)
+val create : ?name:string -> ?chains:bool Atomic.t -> Schema.t -> t
 val name : t -> string
 val schema : t -> Schema.t
 
@@ -55,8 +51,8 @@ val version : t -> int
 val changes_since : t -> int -> change list option
 
 (** [insert t row] checks the row against the schema and returns its
-    fresh row id. [writer] tags the version-chain entry in versioned
-    mode (0 — the default — is bootstrap/recovery, visible to every
+    fresh row id. [writer] tags the version-chain entry once chains are
+    on (0 — the default — is bootstrap/recovery, visible to every
     snapshot) and is ignored otherwise; likewise for the other
     mutators below. *)
 val insert : ?writer:int -> t -> Tuple.t -> row_id
@@ -136,7 +132,7 @@ val lookup_seq :
     chains are dropped too. *)
 val clear : t -> unit
 
-(** {2 Snapshot reads (versioned mode)}
+(** {2 Snapshot reads (chains on)}
 
     [visible w] decides whether writer [w]'s effects belong to the
     caller's snapshot; the row state is reconstructed by undoing every
@@ -150,7 +146,7 @@ val clear : t -> unit
 val read_at : t -> row_id -> visible:(int -> bool) -> Tuple.t option
 
 (** Snapshot scan in ascending row-id order, materialized eagerly
-    (under the table mutex in concurrent mode). *)
+    (under the table mutex inside a parallel region). *)
 val to_seq_at : t -> visible:(int -> bool) -> (row_id * Tuple.t) Seq.t
 
 (** Snapshot {!lookup_seq}: filter-scan over the visible rows (probes
@@ -170,6 +166,13 @@ val range_lookup_seq_at :
   hi:Ordered_index.bound ->
   visible:(int -> bool) ->
   (row_id * Tuple.t) Seq.t
+
+(** [push_version t ~writer id before] pushes one entry onto row
+    [id]'s chain, as a write by [writer] whose before-image was
+    [before] would, whatever the switch says. For an engine turning
+    chains on while transactions that already wrote are still active:
+    it replays their writes onto the chains, oldest first. *)
+val push_version : t -> writer:int -> row_id -> Tuple.t option -> unit
 
 (** [gc_versions t ~obsolete] truncates each version chain at the
     newest entry whose writer satisfies [obsolete] (committed before

@@ -1,6 +1,7 @@
 open Ent_storage
 module Obs = Ent_obs.Obs
 module Event = Ent_obs.Event
+module Region = Ent_obs.Region
 
 let m_begins = Obs.counter "txn.engine.begins"
 let m_commits = Obs.counter "txn.engine.commits"
@@ -74,7 +75,8 @@ type t = {
   mutable on_event : (event -> unit) option;
   mutable constraints : (string * (Catalog.t -> bool)) list;
   write_seq : int Atomic.t;
-  (* MVCC bookkeeping, populated only while [Table.versioned_enabled]:
+  (* MVCC bookkeeping, populated only once the catalog's version chains
+     are on (the first snapshot transaction turns them on):
      [commit_stamp] is the logical commit clock (a transaction's
      snapshot is the clock value at its begin), [committed_at] maps
      finished writers to their commit stamp (entries at or below every
@@ -100,22 +102,16 @@ type t = {
      Order, where nested: mu -> obs_mu; neither is held while calling
      back into the engine.
 
-     [deferred] takes [obs_mu] off the parallel hot path: while set
-     (the scheduler sets it around parallel phases), [emit] appends to
-     a per-domain shard with a global atomic order stamp instead of
-     dispatching, and [flush_events] replays the buffer sorted by
-     stamp at the phase boundary. The sorted replay is an exact
-     linearization of emission order — emissions ordered by a lock
-     release/acquire are also ordered by their fetch-and-add stamps —
-     so the conflict-order guarantee above carries over verbatim. *)
+     [pending] takes [obs_mu] off the parallel hot path: inside a
+     parallel region [emit] pushes onto this stamped per-domain buffer
+     instead of dispatching, and [flush_events] replays it at the
+     region boundary. The replay is an exact linearization of emission
+     order, so the conflict-order guarantee above carries over
+     verbatim. *)
   mu : Mutex.t;
   obs_mu : Mutex.t;
-  deferred : bool Atomic.t;
-  obs_order : int Atomic.t;
-  obs_shards : (Mutex.t * (int * event) list ref) array;
+  pending : event Region.buffer;
 }
-
-let obs_shard_count = 16
 
 let create ?(wal = false) ?on_event catalog =
   {
@@ -134,10 +130,7 @@ let create ?(wal = false) ?on_event catalog =
     snapshots = Hashtbl.create 8;
     mu = Mutex.create ();
     obs_mu = Mutex.create ();
-    deferred = Atomic.make false;
-    obs_order = Atomic.make 0;
-    obs_shards =
-      Array.init obs_shard_count (fun _ -> (Mutex.create (), ref []));
+    pending = Region.buffer ();
   }
 
 let with_mu mu f =
@@ -165,37 +158,13 @@ let emit t ev =
   match t.on_event with
   | None -> ()
   | Some f ->
-    if Atomic.get t.deferred then begin
-      let stamp = Atomic.fetch_and_add t.obs_order 1 in
-      let bmu, buf =
-        t.obs_shards.((Domain.self () :> int) land (obs_shard_count - 1))
-      in
-      with_mu bmu (fun () -> buf := (stamp, ev) :: !buf)
-    end
+    if Region.running () then Region.push t.pending ev
     else with_mu t.obs_mu (fun () -> f ev)
 
-let set_deferred_events t b = Atomic.set t.deferred b
-
 let flush_events t =
-  let pending =
-    Array.fold_left
-      (fun acc (bmu, buf) ->
-        with_mu bmu (fun () ->
-            let l = !buf in
-            buf := [];
-            List.rev_append l acc))
-      [] t.obs_shards
-  in
-  match pending with
-  | [] -> ()
-  | pending -> (
-    let sorted =
-      List.sort (fun (a, _) (b, _) -> Int.compare a b) pending
-    in
-    match t.on_event with
-    | None -> ()
-    | Some f ->
-      with_mu t.obs_mu (fun () -> List.iter (fun (_, ev) -> f ev) sorted))
+  match Region.drain t.pending, t.on_event with
+  | [], _ | _, None -> ()
+  | drained, Some f -> with_mu t.obs_mu (fun () -> List.iter f drained)
 
 let log_record t record =
   match t.wal with
@@ -216,9 +185,30 @@ let load t name row =
   log_record t (Write { txn = 0; table = name; row = id; before = None; after = Some row });
   id
 
+(* The engine's first snapshot transaction turns version chains on for
+   its whole catalog. Writes of still-active transactions carry no
+   chain entry yet, so a snapshot walk would read them as committed:
+   replay them onto the chains, oldest first, as if chains had been on
+   all along. Runs under [mu] with no other domain writing (a scheduler
+   begins a program's first transaction on its coordinator). *)
+let enable_chains t =
+  Hashtbl.fold
+    (fun _ txn acc ->
+      if txn.finished then acc
+      else List.rev_append (List.map (fun w -> (txn.id, w)) txn.writes) acc)
+    t.txns []
+  |> List.sort (fun (_, a) (_, b) -> Int.compare a.w_seq b.w_seq)
+  |> List.iter (fun (id, w) ->
+         Option.iter
+           (fun table -> Table.push_version table ~writer:id w.w_row w.w_before)
+           (Catalog.find t.catalog w.w_table));
+  Catalog.enable_chains t.catalog
+
 let begin_txn ?(isolation = Serializable_2pl) t =
   let id =
     with_mu t.mu (fun () ->
+        if isolation = Snapshot && not (Catalog.chains_enabled t.catalog) then
+          enable_chains t;
         let id = t.next_txn in
         t.next_txn <- id + 1;
         let begin_ts = Atomic.get t.commit_stamp in
@@ -679,7 +669,7 @@ let validate_snapshot t txn_id =
 
 let commit t txn_id =
   let txn = find_txn t txn_id in
-  if Table.versioned_enabled () then begin
+  if Catalog.chains_enabled t.catalog then begin
     let stamp = Atomic.fetch_and_add t.commit_stamp 1 + 1 in
     with_mu t.mu (fun () ->
         Hashtbl.replace t.committed_at txn_id stamp;
@@ -742,13 +732,6 @@ let recover records =
       0 records
   in
   t.next_txn <- high_water + 1;
-  (* Version chains are volatile MVCC state, but [Recovery.replay]
-     writes through the (process-global) versioned table layer when a
-     snapshot transaction ever ran: drop them so the recovered engine
-     starts from the durable images alone. *)
-  Catalog.iter
-    (fun _ table -> ignore (Table.gc_versions table ~obsolete:(fun _ -> true)))
-    t.catalog;
   checkpoint t;
   (t, analysis)
 
@@ -773,6 +756,16 @@ let take_wakeups t =
 
 let grounding_reads t txn_id = (find_txn t txn_id).grounding_tables
 
+let sum_tables t f =
+  List.fold_left
+    (fun acc name -> acc + f (Catalog.find_exn t.catalog name))
+    0
+    (Catalog.table_names t.catalog)
+
+(* Total retained version-chain entries across the catalog (0 at
+   quiescence once {!gc_versions} ran — the entsim invariant). *)
+let chain_entries t = sum_tables t Table.chain_entries
+
 (* Version-chain garbage collection. A chain entry is unreachable when
    its writer's effects are visible to every snapshot that will ever be
    taken: bootstrap writes, writes committed at or before the oldest
@@ -781,7 +774,7 @@ let grounding_reads t txn_id = (find_txn t txn_id).grounding_tables
    because the visibility closure treats a missing, inactive writer as
    visible, which is exactly what pruning implies. *)
 let gc_versions t =
-  if Table.versioned_enabled () then begin
+  if Catalog.chains_enabled t.catalog then begin
     let s_min =
       with_mu t.mu (fun () ->
           Hashtbl.fold
@@ -796,13 +789,7 @@ let gc_versions t =
       | Some stamp -> stamp <= s_min
       | None -> not (is_active t w)
     in
-    let removed =
-      List.fold_left
-        (fun acc name ->
-          acc + Table.gc_versions (Catalog.find_exn t.catalog name) ~obsolete)
-        0
-        (Catalog.table_names t.catalog)
-    in
+    let removed = sum_tables t (Table.gc_versions ~obsolete) in
     if removed > 0 then Obs.incr ~n:removed (Lazy.force m_mvcc_versions_gcd);
     with_mu t.mu (fun () ->
         let prune tbl =
@@ -815,20 +802,5 @@ let gc_versions t =
         in
         prune t.committed_at;
         prune t.last_write);
-    Obs.set
-      (Lazy.force m_mvcc_chain_entries)
-      (float_of_int
-         (List.fold_left
-            (fun acc name ->
-              acc + Table.chain_entries (Catalog.find_exn t.catalog name))
-            0
-            (Catalog.table_names t.catalog)))
+    Obs.set (Lazy.force m_mvcc_chain_entries) (float_of_int (chain_entries t))
   end
-
-(* Total retained version-chain entries across the catalog (0 at
-   quiescence once {!gc_versions} ran — the entsim invariant). *)
-let chain_entries t =
-  List.fold_left
-    (fun acc name -> acc + Table.chain_entries (Catalog.find_exn t.catalog name))
-    0
-    (Catalog.table_names t.catalog)

@@ -67,16 +67,13 @@ val set_on_event : t -> (event -> unit) option -> unit
     installation order. Lets a certifier observe alongside a recorder. *)
 val add_on_event : t -> (event -> unit) -> unit
 
-(** While deferred, observer dispatch buffers events in per-domain
-    shards — each with a global atomic order stamp — instead of
-    serializing through the engine's observer mutex. The scheduler
-    defers around parallel phases and flushes at the boundary. *)
-val set_deferred_events : t -> bool -> unit
-
-(** Dispatch all deferred events to the observers, sorted by emission
-    order stamp: an exact linearization of emission order, so the
-    conflict-order guarantee of live dispatch (events of two
-    conflicting operations never reorder) is preserved. *)
+(** Inside a parallel region ({!Ent_obs.Region.running}) observer
+    dispatch buffers events in a stamped per-domain buffer instead of
+    serializing through the engine's observer mutex. [flush_events]
+    dispatches everything buffered to the observers in emission order:
+    an exact linearization, so the conflict-order guarantee of live
+    dispatch (events of two conflicting operations never reorder) is
+    preserved. Call it on the coordinator once the region has ended. *)
 val flush_events : t -> unit
 
 (** Create a table through the engine so it is logged for recovery. *)
@@ -88,9 +85,12 @@ val load : t -> string -> Value.t array -> int
 
 (** [begin_txn ?isolation t] starts a transaction. A [Snapshot]
     transaction additionally records the current commit stamp as its
-    snapshot and registers itself for version-chain GC purposes; the
-    version chains themselves are only populated while
-    {!Ent_storage.Table.set_versioned} is on. *)
+    snapshot and registers itself for version-chain GC purposes. The
+    engine's first [Snapshot] transaction turns version chains on for
+    its catalog ({!Ent_storage.Catalog.enable_chains}), for good; the
+    writes of transactions still active then are replayed onto the
+    chains. An engine that never runs a snapshot transaction never
+    touches a chain. *)
 val begin_txn : ?isolation:level -> t -> int
 
 (** True when the id denotes a live (begun, not yet finished) txn. *)
@@ -135,8 +135,8 @@ val violated_constraint : t -> string option
     Call before {!commit}; a conflict means the caller must abort. *)
 val validate_snapshot : t -> int -> (string * int) option
 
-(** Commit: logs, releases locks, queues wake-ups. In versioned mode
-    also stamps the transaction on the commit clock and records its
+(** Commit: logs, releases locks, queues wake-ups. Once version chains
+    are on (see {!begin_txn}) also stamps the transaction on the commit clock and records its
     write set for first-committer-wins validation of others. *)
 val commit : t -> int -> unit
 
@@ -185,8 +185,8 @@ val take_wakeups : t -> int list
 val grounding_reads : t -> int -> string list
 
 (** Truncate every table's version chains below the oldest live
-    snapshot and prune the commit-stamp maps accordingly. No-op unless
-    versioned mode is on. Cheap enough to call at every group-commit
+    snapshot and prune the commit-stamp maps accordingly. No-op until
+    version chains are on (see {!begin_txn}). Cheap enough to call at every group-commit
     boundary; at quiescence it empties the chains entirely. *)
 val gc_versions : t -> unit
 

@@ -1,10 +1,14 @@
 (* MVCC snapshot reads beside Strict 2PL.
 
-   Three layers of certification for the versioned-table / snapshot-
+   Four layers of certification for the versioned-table / snapshot-
    isolation tentpole:
 
    - adversarial version-chain tests against the raw [Table] API
-     (visibility closure, GC, chain accounting);
+     (visibility closure, GC, chain accounting), on tables whose
+     catalog has its chains on;
+   - chains belong to their engine: the first snapshot transaction
+     turns them on without exposing writes still in flight, and a
+     scheduler created on another engine cannot turn them off;
    - the headline lock-manager assertion: a snapshot transaction
      acquires *zero* read locks (asserted on the lock-manager's probe
      stream, with a 2PL control transaction in the same schedule);
@@ -24,16 +28,14 @@ module Certify = Ent_schedule.Certify
 module Travel = Ent_workload.Travel
 module Wgen = Ent_workload.Gen
 
-(* [Table.set_versioned] is process-global: every test that flips it
-   restores the previous state, so suite order cannot leak MVCC mode
-   into the plain-storage tests. *)
-let with_versioned f =
-  let was = Table.versioned_enabled () in
-  Table.set_versioned true;
-  Fun.protect ~finally:(fun () -> Table.set_versioned was) f
-
+(* A table of a fresh catalog whose version chains are on, the way an
+   engine turns them on at its first snapshot transaction. The switch
+   belongs to the catalog, so no other test sees it. *)
 let int_table () =
-  Table.create ~name:"T" (Schema.make [ { Schema.name = "v"; ty = T_int } ])
+  let catalog = Catalog.create () in
+  Catalog.enable_chains catalog;
+  Catalog.create_table catalog "T"
+    (Schema.make [ { Schema.name = "v"; ty = T_int } ])
 
 let read_live table id = List.assoc_opt id (Table.to_list table)
 
@@ -45,7 +47,6 @@ let check_tuple name expected actual =
 (* --- version-chain semantics on the raw table --- *)
 
 let test_chain_visibility () =
-  with_versioned @@ fun () ->
   let t = int_table () in
   let id = Table.insert t [| Value.Int 1 |] in
   (* writer 0 is bootstrap: visible to every snapshot *)
@@ -65,7 +66,6 @@ let test_chain_visibility () =
   Alcotest.(check bool) "chain is non-empty" true (Table.chain_entries t > 0)
 
 let test_uncommitted_insert_invisible () =
-  with_versioned @@ fun () ->
   let t = int_table () in
   let _stable = Table.insert t [| Value.Int 10 |] in
   let fresh = Table.insert ~writer:9 t [| Value.Int 99 |] in
@@ -81,7 +81,6 @@ let test_uncommitted_insert_invisible () =
     (List.mem fresh (seen (fun _ -> true)))
 
 let test_gc_drains_chains () =
-  with_versioned @@ fun () ->
   let t = int_table () in
   let id = Table.insert t [| Value.Int 1 |] in
   ignore (Table.update ~writer:3 t id [| Value.Int 2 |]);
@@ -93,6 +92,76 @@ let test_gc_drains_chains () =
   ignore (Table.gc_versions t ~obsolete:(fun _ -> true));
   Alcotest.(check int) "full GC empties the chains" 0 (Table.chain_entries t);
   check_tuple "live state survives full GC" (Some [ "3" ]) (read_live t id)
+
+(* --- version chains belong to their engine --- *)
+
+(* A scheduler created on an unrelated engine must not change what
+   this engine's snapshot readers see: an update by a 2PL writer that
+   has not committed stays invisible to a snapshot taken after it. *)
+let test_foreign_scheduler_keeps_snapshots () =
+  let m = Manager.create ~wal:false () in
+  Manager.define_table m "T" [ ("v", Schema.T_int) ];
+  Manager.load_row m "T" [ Value.Int 1 ];
+  let si =
+    Manager.submit m
+      (Program.of_string ~label:"si" ~isolation:Engine.Snapshot
+         "BEGIN TRANSACTION;\nSELECT v FROM T;\nCOMMIT;")
+  in
+  Manager.drain m;
+  Gen.check_outcome m "snapshot program commits" "committed" si;
+  ignore (Scheduler.create (Engine.create (Catalog.create ())));
+  let engine = Manager.engine m in
+  let writer = Engine.begin_txn engine in
+  (Engine.access engine writer ~grounding:false ()).update "T" 0
+    [| Value.Int 2 |];
+  let reader = Engine.begin_txn ~isolation:Engine.Snapshot engine in
+  let seen =
+    List.of_seq ((Engine.access engine reader ~grounding:false ()).scan "T")
+    |> List.map (fun (_, row) -> Value.to_string (Tuple.get row 0))
+  in
+  Alcotest.(check (list string))
+    "snapshot does not see the uncommitted update" [ "1" ] seen;
+  Engine.abort engine writer;
+  Engine.abort engine reader
+
+(* The engine's first snapshot transaction turns chains on while a 2PL
+   writer that already wrote is still active. That write predates the
+   chains, yet the snapshot must not see it, before or after the
+   writer commits. *)
+let test_chains_on_mid_write () =
+  let catalog = Catalog.create () in
+  let engine = Engine.create catalog in
+  ignore
+    (Engine.create_table engine "T"
+       (Schema.make [ { Schema.name = "v"; ty = T_int } ]));
+  ignore (Engine.load engine "T" [| Value.Int 1 |]);
+  let scan txn =
+    List.of_seq ((Engine.access engine txn ~grounding:false ()).scan "T")
+    |> List.map (fun (_, row) -> Value.to_string (Tuple.get row 0))
+  in
+  let writer = Engine.begin_txn engine in
+  (Engine.access engine writer ~grounding:false ()).update "T" 0
+    [| Value.Int 2 |];
+  Alcotest.(check bool)
+    "a 2PL-only engine keeps chains off" false
+    (Catalog.chains_enabled catalog);
+  let reader = Engine.begin_txn ~isolation:Engine.Snapshot engine in
+  Alcotest.(check bool)
+    "the first snapshot turns chains on" true
+    (Catalog.chains_enabled catalog);
+  Alcotest.(check (list string)) "in-flight write invisible" [ "1" ]
+    (scan reader);
+  Engine.commit engine writer;
+  Alcotest.(check (list string)) "committed after the snapshot: invisible"
+    [ "1" ] (scan reader);
+  Engine.commit engine reader;
+  let later = Engine.begin_txn ~isolation:Engine.Snapshot engine in
+  Alcotest.(check (list string)) "a later snapshot sees it" [ "2" ]
+    (scan later);
+  Engine.commit engine later;
+  Engine.gc_versions engine;
+  Alcotest.(check int) "chains drain at quiescence" 0
+    (Engine.chain_entries engine)
 
 (* --- the headline acceptance assertion: snapshot reads take no locks --- *)
 
@@ -243,7 +312,11 @@ let () =
         [ Alcotest.test_case "visibility closure" `Quick test_chain_visibility;
           Alcotest.test_case "uncommitted insert invisible" `Quick
             test_uncommitted_insert_invisible;
-          Alcotest.test_case "gc drains chains" `Quick test_gc_drains_chains ] );
+          Alcotest.test_case "gc drains chains" `Quick test_gc_drains_chains;
+          Alcotest.test_case "foreign scheduler keeps snapshots" `Quick
+            test_foreign_scheduler_keeps_snapshots;
+          Alcotest.test_case "chains on mid-write" `Quick
+            test_chains_on_mid_write ] );
       ( "locks",
         [ Alcotest.test_case "snapshot reads take zero locks" `Quick
             test_snapshot_zero_read_locks ] );

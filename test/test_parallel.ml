@@ -1,8 +1,9 @@
 (* Multicore execution (DESIGN.md §9): shard boundaries of the sharded
    lock manager, agreement of the static (entlint) lock order with what
-   a transaction acquires through the sharded manager, and equivalence
-   of parallel (--parallel N) and deterministic runs over the same
-   workload. *)
+   a transaction acquires through the sharded manager, equivalence of
+   parallel (--parallel N) and deterministic runs over the same
+   workload, and two schedulers in one process that each get what they
+   get alone. *)
 
 (* alias the shared test module before [open Ent_workload] shadows [Gen] *)
 module Tgen = Gen
@@ -212,6 +213,126 @@ let prop_parallel_matches_deterministic =
         QCheck2.Test.fail_report "final table states differ";
       true)
 
+(* --- two schedulers in one process ---
+
+   A 2-domain scheduler running mixed 2PL/SI programs and a one-domain
+   all-2PL scheduler on their own engines, interleaved submit by submit
+   and drain by drain. Storage locking, event buffering and version
+   chains follow each engine and the running parallel region, not the
+   newest scheduler, so each side gets exactly what it gets alone. *)
+
+let snapshot (p : Program.t) =
+  Program.make ~label:p.label ~transactional:p.transactional
+    ~isolation:Ent_txn.Engine.Snapshot p.ast
+
+type side = {
+  world : Travel.t;
+  certifier : Certify.t;
+  chunks : Program.t list array;
+  runner : Pool.t;
+  mutable ids : int list;
+}
+
+(* A snapshot program recording how many Reserve rows its snapshot
+   holds. It runs last in its chunk, so the count covers exactly the
+   rows committed by earlier chunks: an insert of its own run that it
+   counted would be a dirty read, and would show in the final tables. *)
+let counter c =
+  Program.of_string ~label:(Printf.sprintf "count-%d" c)
+    ~isolation:Ent_txn.Engine.Snapshot
+    (Printf.sprintf
+       "BEGIN TRANSACTION;\n\
+        SELECT COUNT(*) AS @n FROM Reserve;\n\
+        INSERT INTO Reserve (uid, fid) VALUES (%d, @n);\n\
+        COMMIT;"
+       (100_000 + c))
+
+let side ~domains ~mixed ~seed =
+  let runner = Pool.create ~domains in
+  let config =
+    {
+      Scheduler.default_config with
+      connections = 20;
+      trigger = Scheduler.Manual;
+      runner;
+    }
+  in
+  let world = Travel.build ~seed ~users:60 ~cities:5 ~config () in
+  let certifier = Certify.create () in
+  Manager.observe world.manager ~on_event:(Certify.on_engine_event certifier)
+    ~on_entangle:(Certify.on_entangle certifier);
+  let batch kind tag_base =
+    Gen.batch world ~transactional:true kind ~n:20 ~tag_base
+  in
+  let programs =
+    List.concat
+      (List.map2 (fun a b -> [ a; b ])
+         (batch Gen.Entangled 0) (batch Gen.Social 100))
+  in
+  let programs =
+    if mixed then
+      List.mapi (fun i p -> if i land 1 = 1 then snapshot p else p) programs
+    else programs
+  in
+  let chunks =
+    Array.init 4 (fun c ->
+        List.filteri (fun i _ -> i / 10 = c) programs
+        @ if mixed then [ counter c ] else [])
+  in
+  { world; certifier; chunks; runner; ids = [] }
+
+let submit_chunk s c =
+  s.ids <- s.ids @ List.map (Manager.submit s.world.manager) s.chunks.(c)
+
+let drain s = Manager.drain s.world.manager
+
+let verdict s =
+  Pool.shutdown s.runner;
+  let committed =
+    List.filter
+      (fun id -> Manager.outcome s.world.manager id = Some Scheduler.Committed)
+      s.ids
+  in
+  (Certify.ok s.certifier, List.sort compare committed, final_tables s.world)
+
+let pooled () = side ~domains:2 ~mixed:true ~seed:7
+let plain () = side ~domains:1 ~mixed:false ~seed:11
+
+let solo s =
+  Array.iteri
+    (fun c _ ->
+      submit_chunk s c;
+      drain s)
+    s.chunks;
+  verdict s
+
+let test_interleaved_schedulers () =
+  let pooled_alone = solo (pooled ()) in
+  let plain_alone = solo (plain ()) in
+  let a = pooled () in
+  (* the one-domain scheduler is created after the pooled one has
+     snapshot programs waiting *)
+  submit_chunk a 0;
+  let b = plain () in
+  Array.iteri
+    (fun c _ ->
+      if c > 0 then submit_chunk a c;
+      submit_chunk b c;
+      drain a;
+      drain b)
+    a.chunks;
+  let check name (ok_alone, committed_alone, tables_alone) s =
+    let ok, committed, tables = verdict s in
+    Alcotest.(check bool) (name ^ ": certifier verdict") ok_alone ok;
+    Alcotest.(check bool) (name ^ ": certifies") true ok;
+    Alcotest.(check (list int)) (name ^ ": committed tasks") committed_alone
+      committed;
+    Alcotest.(check bool) (name ^ ": final tables") true
+      (tables = tables_alone)
+  in
+  check "pooled mixed" pooled_alone a;
+  check "one-domain 2PL" plain_alone b
+
 let () =
   Alcotest.run "parallel"
     [
@@ -228,5 +349,7 @@ let () =
             test_static_lock_order_across_shards;
         ] );
       ( "equivalence",
-        [ Tgen.to_alcotest prop_parallel_matches_deterministic ] );
+        [ Tgen.to_alcotest prop_parallel_matches_deterministic;
+          Alcotest.test_case "interleaved schedulers match solo" `Quick
+            test_interleaved_schedulers ] );
     ]
