@@ -555,8 +555,10 @@ let metrics =
 
 let trace =
   Arg.(value & flag & info [ "trace" ]
-         ~doc:"Enable span tracing; spans are included in the --metrics \
-               snapshot.")
+         ~doc:"Record wall-clock timing histograms (the matcher's \
+               entangle.coordinate.match_latency_us) in the --metrics \
+               snapshot. Off by default so snapshots of a rerun are \
+               byte-identical.")
 
 let trace_out =
   Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE"

@@ -30,7 +30,43 @@ let members t id =
   let out = if List.mem id out then out else id :: out in
   List.sort_uniq Int.compare out
 
-let root = find
 let same_group t a b = find t a = find t b
 let entangled t id = List.length (members t id) > 1
 let reset t = Hashtbl.reset t.parent
+
+let group_by t id_of items =
+  let buckets = Hashtbl.create 16 in
+  let order = ref [] in
+  List.iter
+    (fun item ->
+      let root = find t (id_of item) in
+      match Hashtbl.find_opt buckets root with
+      | Some bucket -> bucket := item :: !bucket
+      | None ->
+        let bucket = ref [ item ] in
+        Hashtbl.add buckets root bucket;
+        order := bucket :: !order)
+    items;
+  List.rev_map (fun bucket -> List.rev !bucket) !order
+
+let components id_of answered =
+  let uf = create () in
+  let providers = Hashtbl.create 64 in
+  List.iter
+    (fun (item, (g : Ent_entangle.Ground.grounding)) ->
+      List.iter
+        (fun atom ->
+          let existing = Option.value ~default:[] (Hashtbl.find_opt providers atom) in
+          Hashtbl.replace providers atom (id_of item :: existing))
+        g.g_head)
+    answered;
+  List.iter
+    (fun (item, (g : Ent_entangle.Ground.grounding)) ->
+      List.iter
+        (fun atom ->
+          match Hashtbl.find_opt providers atom with
+          | Some owners -> join uf (id_of item :: owners)
+          | None -> ())
+        g.g_post)
+    answered;
+  group_by uf (fun (item, _) -> id_of item) answered

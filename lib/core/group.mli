@@ -18,10 +18,6 @@ val join : t -> int list -> unit
     that never entangled is its own singleton group). *)
 val members : t -> int -> int list
 
-(** The representative of [id]'s group: equal for two tasks exactly
-    when they share a group. *)
-val root : t -> int -> int
-
 val same_group : t -> int -> int -> bool
 
 (** True when the task has entangled with at least one other task. *)
@@ -29,3 +25,20 @@ val entangled : t -> int -> bool
 
 (** Drop all groups (between runs). *)
 val reset : t -> unit
+
+(** [group_by t id_of items] buckets [items] by the group of their id
+    in one pass. Groups are listed by first appearance and keep the
+    input order inside. *)
+val group_by : t -> ('a -> int) -> 'a list -> 'a list list
+
+(** [components id_of answered] splits the queries answered in one
+    coordination round, each with its chosen grounding, into
+    entanglement components: q is linked to q' when one of q's chosen
+    postconditions is provided by q''s chosen head. Each component is
+    one entanglement operation (one connected combined query in the
+    algorithm of [6]); components are listed by first appearance and
+    keep the input order inside. *)
+val components :
+  ('a -> int) ->
+  ('a * Ent_entangle.Ground.grounding) list ->
+  ('a * Ent_entangle.Ground.grounding) list list

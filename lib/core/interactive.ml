@@ -139,46 +139,44 @@ and evaluate_parked hub =
           | Some Coordinate.No_partner | None -> None)
         parked
     in
-    (* one entanglement event per answered component, as in the batch
-       scheduler; here components are approximated by the full answered
-       set of one evaluation round, which is exact for pairwise
-       coordination and conservative otherwise *)
-    if answered <> [] then begin
-      let event = hub.next_event in
-      hub.next_event <- event + 1;
-      Group.join hub.groups (List.map (fun (s, _) -> s.id) answered);
-      Ent_txn.Engine.log_entangle_group hub.engine ~event
-        ~members:(List.map (fun (s, _) -> s.txn) answered);
-      let tag =
-        List.fold_left min max_int (List.map (fun (s, _) -> s.id) answered)
-      in
-      List.iter
-        (fun (s, _) ->
-          Ent_txn.Engine.set_lock_group hub.engine ~txn:s.txn ~group:tag)
-        answered;
-      List.iter
-        (fun (s, (g : Ground.grounding)) ->
-          (match s.state with
-          | Parked query ->
-            let own =
-              match g.g_head with
-              | (_, values) :: _ -> Some values
-              | [] -> None
-            in
-            List.iter
-              (fun (var, pos) ->
-                let value =
-                  match own with
-                  | Some vs when pos < List.length vs -> List.nth vs pos
-                  | _ -> Ent_storage.Value.Null
-                in
-                Hashtbl.replace s.env var value)
-              query.binds
-          | _ -> ());
-          s.received <- g.g_head @ s.received;
-          s.state <- Active)
-        answered
-    end
+    (* one entanglement event, group and lock tag per answered
+       component, as in the batch scheduler *)
+    List.iter
+      (fun component ->
+        let event = hub.next_event in
+        hub.next_event <- event + 1;
+        let ids = List.map (fun (s, _) -> s.id) component in
+        Group.join hub.groups ids;
+        Ent_txn.Engine.log_entangle_group hub.engine ~event
+          ~members:(List.map (fun (s, _) -> s.txn) component);
+        let tag = List.fold_left min max_int ids in
+        List.iter
+          (fun (s, _) ->
+            Ent_txn.Engine.set_lock_group hub.engine ~txn:s.txn ~group:tag)
+          component)
+      (Group.components (fun s -> s.id) answered);
+    List.iter
+      (fun (s, (g : Ground.grounding)) ->
+        (match s.state with
+        | Parked query ->
+          let own =
+            match g.g_head with
+            | (_, values) :: _ -> Some values
+            | [] -> None
+          in
+          List.iter
+            (fun (var, pos) ->
+              let value =
+                match own with
+                | Some vs when pos < List.length vs -> List.nth vs pos
+                | _ -> Ent_storage.Value.Null
+              in
+              Hashtbl.replace s.env var value)
+            query.binds
+        | _ -> ());
+        s.received <- g.g_head @ s.received;
+        s.state <- Active)
+      answered
   end
 
 (* Try to commit every group whose members all want to commit. *)

@@ -198,53 +198,6 @@ let drain_work t (task : Executor.task) =
     task.work <- 0.0
   end
 
-(* Bucket [items] by their group in [uf] in one pass. Groups are listed
-   by first appearance and keep the input (pool) order inside. *)
-let group_by uf id_of items =
-  let buckets = Hashtbl.create 16 in
-  let order = ref [] in
-  List.iter
-    (fun entry ->
-      let root = Group.root uf (id_of entry) in
-      match Hashtbl.find_opt buckets root with
-      | Some bucket -> bucket := entry :: !bucket
-      | None ->
-        let bucket = ref [ entry ] in
-        Hashtbl.add buckets root bucket;
-        order := bucket :: !order)
-    items;
-  List.rev_map (fun bucket -> List.rev !bucket) !order
-
-(* --- entanglement components ---
-
-   After coordination, the answered queries decompose into connected
-   components: q is linked to q' when one of q's chosen postconditions
-   is provided by q''s chosen head. Each component is one entanglement
-   operation E (it corresponds to one connected combined query in the
-   algorithm of [6]). *)
-let components (answered : (Executor.task * Ground.grounding) list) =
-  let uf = Group.create () in
-  let providers : (Ir.ground_atom, int list) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun ((task : Executor.task), (g : Ground.grounding)) ->
-      List.iter
-        (fun atom ->
-          let existing = Option.value ~default:[] (Hashtbl.find_opt providers atom) in
-          Hashtbl.replace providers atom (task.task_id :: existing))
-        g.g_head)
-    answered;
-  List.iter
-    (fun ((task : Executor.task), (g : Ground.grounding)) ->
-      List.iter
-        (fun atom ->
-          match Hashtbl.find_opt providers atom with
-          | Some owners -> Group.join uf (task.task_id :: owners)
-          | None -> ())
-        g.g_post)
-    answered;
-  group_by uf (fun ((task : Executor.task), _) -> task.task_id) answered
-  |> List.map (List.map fst)
-
 (* --- the run loop ---
 
    One run (§4) is a sequence of named phases over a per-run record.
@@ -632,7 +585,9 @@ let coordinate t run entries =
         | Coordinate.Empty | Coordinate.No_partner -> None)
       entries
   in
-  List.iter (entangle t run) (components answered);
+  List.iter
+    (fun component -> entangle t run (List.map fst component))
+    (Group.components (fun (task : Executor.task) -> task.task_id) answered);
   List.fold_left
     (fun progress ((task : Executor.task), _, _) ->
       match outcome_of task.task_id with
@@ -716,7 +671,8 @@ let end_run t run =
         (List.filter
            (fun (o : Executor.task) -> Ent_txn.Engine.is_active t.engine o.txn)
            members))
-    (group_by t.groups (fun (task : Executor.task) -> task.task_id) leftovers);
+    (Group.group_by t.groups (fun (task : Executor.task) -> task.task_id)
+       leftovers);
   List.iter (fail_or_repool t) leftovers;
   (* Every transaction of this run is finished now, so the oldest live
      snapshot horizon is the current commit stamp: GC empties the

@@ -6,19 +6,12 @@ let m_misses = Obs.counter "entangle.gcache.misses"
 let m_invalidations = Obs.counter "entangle.gcache.invalidations"
 let m_footprint = Obs.histogram "entangle.gcache.footprint"
 
-(* One recorded read of a grounding computation. [Scan] covers the
-   whole table; [Point]/[Range] are keyed sub-reads whose results can
-   only change when a write touches a matching row. *)
-type read =
-  | Scan
-  | Point of int list * Value.t list
-  | Range of int * Ordered_index.bound * Ordered_index.bound
-
+(* One table a grounding computation read, at table granularity: the
+   grounding reads are quasi reads under table-S locks (§3.3.3). *)
 type table_entry = {
   te_name : string;
   te_table : Table.t;  (* physical identity at record time *)
-  mutable te_version : int;
-  te_reads : read list;
+  te_version : int;
 }
 
 type entry = {
@@ -39,9 +32,20 @@ type key = {
   k_limit : int;
 } [@@warning "-69"]
 
+(* [Hashtbl.hash] stops after 10 meaningful words, all near the root
+   of the body, so the keys of one query shape (every friend pair, say)
+   would share one bucket and each lookup would compare against all of
+   them. Hash deep enough to reach the literals that tell them apart. *)
+module Entries = Hashtbl.Make (struct
+  type t = key
+
+  let equal = ( = )
+  let hash = Hashtbl.hash_param 256 256
+end)
+
 type t = {
   catalog : Catalog.t;
-  entries : (key, entry) Hashtbl.t;
+  entries : entry Entries.t;
   mutable hits : int;
   mutable misses : int;
   mutable invalidations : int;
@@ -58,7 +62,7 @@ let max_entries = 4096
 let create catalog =
   {
     catalog;
-    entries = Hashtbl.create 64;
+    entries = Entries.create 64;
     hits = 0;
     misses = 0;
     invalidations = 0;
@@ -72,7 +76,7 @@ let with_mu mu f =
   | exception e -> Mutex.unlock mu; raise e
 
 let stats t = (t.hits, t.misses, t.invalidations)
-let size t = Hashtbl.length t.entries
+let size t = Entries.length t.entries
 
 (* --- host variables referenced by a body --- *)
 
@@ -115,38 +119,26 @@ let key_of ~env ~limit body =
 
 (* --- footprint recording --- *)
 
-(* Wrap an access so every read path notes (table, read shape) before
+(* Wrap an access so every read path notes the table it reads before
    streaming. Reads are noted at sequence creation: an eager
    over-approximation, which is always sound. *)
 let recording (access : Ent_sql.Eval.access) =
   let order = ref [] in
-  let by_name : (string, read list ref) Hashtbl.t = Hashtbl.create 4 in
-  let note name read =
-    let reads =
-      match Hashtbl.find_opt by_name name with
-      | Some reads -> reads
-      | None ->
-        let reads = ref [] in
-        Hashtbl.add by_name name reads;
-        order := name :: !order;
-        reads
-    in
-    if not (List.mem read !reads) then reads := read :: !reads
-  in
+  let note name = if not (List.mem name !order) then order := name :: !order in
   let raccess =
     {
       access with
       scan =
         (fun name ->
-          note name Scan;
+          note name;
           access.scan name);
       lookup =
         (fun name ~positions key ->
-          note name (Point (positions, key));
+          note name;
           access.lookup name ~positions key);
       range =
         (fun name ~position ~lo ~hi ->
-          note name (Range (position, lo, hi));
+          note name;
           access.range name ~position ~lo ~hi);
     }
   in
@@ -155,12 +147,7 @@ let recording (access : Ent_sql.Eval.access) =
       (fun name ->
         match Catalog.find catalog name with
         | Some table ->
-          {
-            te_name = name;
-            te_table = table;
-            te_version = Table.version table;
-            te_reads = !(Hashtbl.find by_name name);
-          }
+          { te_name = name; te_table = table; te_version = Table.version table }
         | None ->
           (* the access resolved a name the catalog no longer has; only
              reachable through hostile interleaving — never cache it *)
@@ -171,49 +158,12 @@ let recording (access : Ent_sql.Eval.access) =
 
 (* --- invalidation --- *)
 
-let in_bounds ~lo ~hi v =
-  (match lo with
-  | Ordered_index.Unbounded -> true
-  | Ordered_index.Inclusive b -> Value.compare v b >= 0
-  | Ordered_index.Exclusive b -> Value.compare v b > 0)
-  &&
-  match hi with
-  | Ordered_index.Unbounded -> true
-  | Ordered_index.Inclusive b -> Value.compare v b <= 0
-  | Ordered_index.Exclusive b -> Value.compare v b < 0
-
-let read_touches_row read row =
-  match read with
-  | Scan -> true
-  | Point (positions, key) ->
-    List.equal Value.equal (List.map (fun i -> Tuple.get row i) positions) key
-  | Range (position, lo, hi) -> in_bounds ~lo ~hi (Tuple.get row position)
-
-let change_intersects reads (c : Table.change) =
-  let side = function
-    | None -> false
-    | Some row -> List.exists (fun read -> read_touches_row read row) reads
-  in
-  side c.c_before || side c.c_after
-
 let table_entry_valid t te =
   match Catalog.find t.catalog te.te_name with
-  | Some table when table == te.te_table -> (
-    Table.version table = te.te_version
-    ||
-    match Table.changes_since table te.te_version with
-    | None -> false  (* changelog truncated or structural change *)
-    | Some changes ->
-      not (List.exists (change_intersects te.te_reads) changes))
-  | _ -> false  (* dropped or re-created table *)
+  | Some table -> table == te.te_table && Table.version table = te.te_version
+  | None -> false  (* dropped table *)
 
 let entry_valid t entry = List.for_all (table_entry_valid t) entry.e_tables
-
-(* After a successful validation, fast-forward the recorded versions so
-   the next round does not re-scan the same (non-intersecting)
-   changelog suffix. *)
-let refresh entry =
-  List.iter (fun te -> te.te_version <- Table.version te.te_table) entry.e_tables
 
 (* --- the cache --- *)
 
@@ -224,7 +174,7 @@ let refresh entry =
 let compute t ?(limit = 10_000) ?(bypass = false) ~access ~touch ~env
     (query : Ir.t) =
   if bypass then
-    (* Snapshot-isolation grounding: the footprint validation above is
+    (* Snapshot-isolation grounding: the version validation above is
        keyed to LIVE table versions, but the caller reads an older
        snapshot — neither serving nor populating the cache is sound.
        Run the enumeration fresh; [touch] is unused (snapshot reads
@@ -235,16 +185,15 @@ let compute t ?(limit = 10_000) ?(bypass = false) ~access ~touch ~env
   let key = key_of ~env ~limit query.body in
   let cached =
     with_mu t.mu (fun () ->
-        match Hashtbl.find_opt t.entries key with
+        match Entries.find_opt t.entries key with
         | Some entry when entry_valid t entry ->
-          refresh entry;
           t.hits <- t.hits + 1;
           Obs.incr m_hits;
           Some entry
         | found ->
           (match found with
           | Some _ ->
-            Hashtbl.remove t.entries key;
+            Entries.remove t.entries key;
             t.invalidations <- t.invalidations + 1;
             Obs.incr m_invalidations
           | None -> ());
@@ -264,14 +213,10 @@ let compute t ?(limit = 10_000) ?(bypass = false) ~access ~touch ~env
     (match finish t.catalog with
     | tables ->
       with_mu t.mu (fun () ->
-          if Hashtbl.length t.entries >= max_entries then
-            Hashtbl.reset t.entries;
-          Hashtbl.replace t.entries key
+          if Entries.length t.entries >= max_entries then
+            Entries.reset t.entries;
+          Entries.replace t.entries key
             { e_valuations = vals; e_tables = tables };
-          Obs.observe m_footprint
-            (float_of_int
-               (List.fold_left
-                  (fun acc te -> acc + List.length te.te_reads)
-                  0 tables)))
+          Obs.observe m_footprint (float_of_int (List.length tables)))
     | exception Exit -> ());
     (Ground.groundings_of query vals, false)

@@ -9,24 +9,25 @@
     (the common case: per-instance tags live in the head/post, not the
     body) share one computation.
 
-    Soundness rests on three pieces:
+    Soundness rests on two pieces:
 
-    - each miss records its {e read footprint} (tables scanned,
-      [(positions, key)] point probes, [(position, bounds)] range
-      probes) while the enumeration runs;
-    - the storage layer gives every table a monotonic write version and
-      a bounded per-write changelog ({!Ent_storage.Table.changes_since});
-    - a cached entry is served only when, for every table it read,
-      either the version is unchanged or no change since the recorded
-      version intersects the footprint. Truncated changelogs, new
-      indexes (plan changes) and dropped/re-created tables all
-      invalidate conservatively.
+    - each miss records the tables its enumeration read, in first-read
+      order, with each table's identity and write version;
+    - the storage layer bumps a table's version on every row write,
+      rollback compensation and structural change
+      ({!Ent_storage.Table.version}).
 
-    Grounding reads are quasi reads (§3.3.3): they take table-S locks
-    and are re-validated by coordination rather than creating row-level
-    read dependencies. A hit therefore replays the lock side effects
-    through [touch] (same tables, first-read order) without re-reading
-    any rows. *)
+    A cached entry is served only when every table it read is still
+    the same object at the same version. Any write to one of them
+    invalidates the entry, whichever rows it touched, as do new indexes
+    and dropped or re-created tables.
+
+    Validation is per table because grounding reads are quasi reads
+    at table granularity (§3.3.3): they take table-S locks and are
+    re-validated by coordination rather than creating row-level read
+    dependencies. A hit therefore replays the lock side effects through
+    [touch] (same tables, first-read order) without re-reading any
+    rows. *)
 
 type t
 
@@ -46,7 +47,7 @@ val create : Ent_storage.Catalog.t -> t
     insertion, no hit/miss accounting — and runs the enumeration fresh
     through [access]. Used for snapshot-isolation grounding, whose
     reads see an older snapshot than the live table versions the
-    footprint validation is keyed to.
+    version validation is keyed to.
     @raise Ground.Ground_error and whatever [access]/[touch] raise. *)
 val compute :
   t ->

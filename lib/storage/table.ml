@@ -12,19 +12,6 @@ let m_range_scans = Obs.counter "storage.index.missing_range_lookups"
 
 type row_id = int
 
-type change = {
-  c_before : Tuple.t option;
-  c_after : Tuple.t option;
-}
-
-(* Per-write changelog entries kept for readers that validate cached
-   results (the grounding cache): bounded, newest first, versions
-   consecutive within the retained segment. [change_floor] is the
-   highest version whose entry has been discarded — a reader that needs
-   history from at or below the floor must treat the table as fully
-   changed. *)
-let changelog_cap = 256
-
 (* Inside a parallel region (more than one domain running, see
    [Ent_obs.Region]) mutators take the per-table mutex and read paths
    materialize their result under it, because IS (reader) and IX
@@ -56,9 +43,9 @@ type t = {
   ordered : (int, Ordered_index.t) Hashtbl.t;
   chains : (int, ventry list) Hashtbl.t;  (* row id -> versions, newest first *)
   version : int Atomic.t;
-  mutable changes : (int * change) list;  (* newest first *)
-  mutable changes_len : int;
-  mutable change_floor : int;
+      (* bumped by every row write, rollback compensation and structural
+         change; the grounding cache serves a result only while it is
+         unchanged *)
   chains_on : bool Atomic.t;  (* shared by the tables of one catalog *)
   mu : Mutex.t;
 }
@@ -74,9 +61,6 @@ let create ?(name = "<anon>") ?(chains = Atomic.make false) schema =
     ordered = Hashtbl.create 4;
     chains = Hashtbl.create 8;
     version = Atomic.make 0;
-    changes = [];
-    changes_len = 0;
-    change_floor = 0;
     chains_on = chains;
     mu = Mutex.create ();
   }
@@ -86,8 +70,8 @@ let schema t = t.schema
 let version t = Atomic.get t.version
 
 (* Run [f] under the table mutex inside a parallel region, plainly
-   otherwise. Never nested: internal helpers (note_change, iter, get,
-   ...) do not lock themselves. *)
+   otherwise. Never nested: internal helpers (iter, get, ...) do not
+   lock themselves. *)
 let locked t f =
   if concurrent () then begin
     Mutex.lock t.mu;
@@ -96,49 +80,6 @@ let locked t f =
     | exception e -> Mutex.unlock t.mu; raise e
   end
   else f ()
-
-let note_change t before after =
-  let version = Atomic.get t.version + 1 in
-  Atomic.set t.version version;
-  if t.changes_len >= changelog_cap then begin
-    (* keep the newest half; everything older falls below the floor *)
-    let keep = changelog_cap / 2 in
-    let kept = ref [] and n = ref 0 and floor = ref t.change_floor in
-    List.iter
-      (fun ((ver, _) as entry) ->
-        if !n < keep then begin
-          kept := entry :: !kept;
-          incr n
-        end
-        else if ver > !floor then floor := ver)
-      t.changes;
-    t.changes <- List.rev !kept;
-    t.changes_len <- !n;
-    t.change_floor <- !floor
-  end;
-  t.changes <- (version, { c_before = before; c_after = after }) :: t.changes;
-  t.changes_len <- t.changes_len + 1
-
-(* A structural change (new index changing plan-dependent result order,
-   bulk clear) conservatively invalidates all history. *)
-let note_reshape t =
-  Atomic.set t.version (Atomic.get t.version + 1);
-  t.changes <- [];
-  t.changes_len <- 0;
-  t.change_floor <- Atomic.get t.version
-
-let changes_since t since =
-  locked t (fun () ->
-      if since < t.change_floor then None
-      else if since >= Atomic.get t.version then Some []
-      else begin
-        let rec collect acc = function
-          | (ver, change) :: rest when ver > since ->
-            collect (change :: acc) rest
-          | _ -> acc
-        in
-        Some (collect [] t.changes)
-      end)
 
 let push_version_unlocked t ~writer id before =
   let entries = Option.value ~default:[] (Hashtbl.find_opt t.chains id) in
@@ -187,7 +128,7 @@ let insert ?(writer = 0) t row =
       t.next_id <- id + 1;
       t.live <- t.live + 1;
       index_insert t row id;
-      note_change t None (Some row);
+      Atomic.incr t.version;
       note_version t ~writer id None;
       id)
 
@@ -203,7 +144,7 @@ let delete ?(writer = 0) t id =
         t.slots.(id) <- None;
         t.live <- t.live - 1;
         index_remove t row id;
-        note_change t (Some row) None;
+        Atomic.incr t.version;
         note_version t ~writer id (Some row);
         Some row)
 
@@ -217,7 +158,7 @@ let update ?(writer = 0) t id row =
         t.slots.(id) <- Some row;
         index_remove t old id;
         index_insert t row id;
-        note_change t (Some old) (Some row);
+        Atomic.incr t.version;
         note_version t ~writer id (Some old);
         Some old)
 
@@ -233,7 +174,7 @@ let restore ?(writer = 0) t id row =
       if id >= t.next_id then t.next_id <- id + 1;
       t.live <- t.live + 1;
       index_insert t row id;
-      note_change t None (Some row);
+      Atomic.incr t.version;
       note_version t ~writer id None)
 
 let cardinal t = t.live
@@ -323,7 +264,7 @@ let add_index t ~positions =
         Hashtbl.replace t.indexes positions ix;
         (* a new index changes which access paths serve which reads;
            cached readers must not mix results across the change *)
-        note_reshape t)
+        Atomic.incr t.version)
 
 let lookup_seq t ~positions key =
   let positions, key = canonical_probe positions key in
@@ -353,7 +294,7 @@ let add_ordered_index t ~position =
           (fun id row -> Ordered_index.insert ox (Tuple.get row position) id)
           t;
         Hashtbl.replace t.ordered position ox;
-        note_reshape t
+        Atomic.incr t.version
       end)
 
 let has_ordered_index t ~position = Hashtbl.mem t.ordered position
@@ -491,4 +432,4 @@ let clear t =
       Array.fill t.slots 0 (Array.length t.slots) None;
       Hashtbl.reset t.chains;
       t.live <- 0;
-      note_reshape t)
+      Atomic.incr t.version)

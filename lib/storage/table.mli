@@ -24,13 +24,6 @@ type row_id = int
     {!Catalog.enable_chains}; while it is off no chain is touched and
     the table behaves exactly as an unversioned one. *)
 
-(** One committed-or-not physical write, as seen by the changelog:
-    insert = [None -> Some], delete = [Some -> None], update = both. *)
-type change = {
-  c_before : Tuple.t option;
-  c_after : Tuple.t option;
-}
-
 (** [create ?chains schema] makes an empty table. [chains] is the
     version-chain switch it reads (its catalog's); without one the
     table gets a private switch that stays off. *)
@@ -40,15 +33,10 @@ val schema : t -> Schema.t
 
 (** Monotonic write version: bumped by every row mutation (including
     rollback compensations) and by structural changes (new indexes,
-    {!clear}). Equal versions imply an identical visible table state. *)
+    {!clear}). Equal versions imply an identical visible table state,
+    which is all the grounding cache validates against: the table keeps
+    no history of which rows changed. *)
 val version : t -> int
-
-(** [changes_since t v] is the list of row changes applied after
-    version [v] (any order), or [None] when the bounded changelog has
-    been truncated past [v] or a structural change intervened — the
-    caller must then assume everything changed. [Some []] iff the table
-    is untouched since [v]. *)
-val changes_since : t -> int -> change list option
 
 (** [insert t row] checks the row against the schema and returns its
     fresh row id. [writer] tags the version-chain entry once chains are

@@ -554,9 +554,10 @@ let test_gcache_unrelated_write_keeps_entry () =
   let _, cached = compute () in
   Alcotest.(check bool) "write outside the footprint keeps the hit" true cached
 
-let test_gcache_point_footprint () =
-  (* With an equality index the footprint is a point probe, so writes
-     to rows with other keys do not invalidate. *)
+let test_gcache_footprint_write_invalidates () =
+  (* Validation is per table: even with an equality index serving the
+     grounding as a point probe, a write to a row with another key
+     invalidates the entry. *)
   let cat = figure1_catalog () in
   let flights = table_of cat "Flights" in
   Table.add_index flights ~positions:[ 2 ];
@@ -567,8 +568,10 @@ let test_gcache_point_footprint () =
   let compute () = Gcache.compute cache ~access ~touch:(fun _ -> ()) ~env q in
   ignore (compute ());
   ignore (Table.insert flights [| Value.Int 600; may3; Value.Str "Tokyo" |]);
-  let _, cached = compute () in
-  Alcotest.(check bool) "non-matching key keeps the hit" true cached;
+  let served, cached = compute () in
+  Alcotest.(check bool) "non-matching key invalidates" false cached;
+  Alcotest.(check bool) "recomputation equals a fresh grounding" true
+    (served = Ground.compute ~access ~env q);
   ignore (Table.insert flights [| Value.Int 601; may3; Value.Str "LA" |]);
   let served, cached = compute () in
   Alcotest.(check bool) "matching key invalidates" false cached;
@@ -578,7 +581,8 @@ let test_gcache_point_footprint () =
          List.exists
            (fun (_, values) -> List.mem (Value.Int 601) values)
            g.g_head)
-       served)
+       served);
+  Alcotest.(check (triple int int int)) "stats" (0, 3, 2) (Gcache.stats cache)
 
 (* --- property: grounding-cache transparency --- *)
 
@@ -718,8 +722,8 @@ let () =
             test_gcache_hit_and_invalidate;
           Alcotest.test_case "unrelated write keeps entry" `Quick
             test_gcache_unrelated_write_keeps_entry;
-          Alcotest.test_case "point footprint" `Quick
-            test_gcache_point_footprint ] );
+          Alcotest.test_case "footprint write invalidates" `Quick
+            test_gcache_footprint_write_invalidates ] );
       ( "properties",
         List.map Gen.to_alcotest
           [ prop_coordination_sound;

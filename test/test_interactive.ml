@@ -171,6 +171,42 @@ let test_three_way_cycle_interactive () =
       | _ -> Alcotest.fail "all members answered")
     sessions
 
+let test_one_round_two_components () =
+  (* Two independent pairs answered in the same evaluation round are two
+     entanglement groups: cancelling one pair leaves the other alone. *)
+  let _, hub = fresh_hub () in
+  let writer = Interactive.start hub in
+  ignore (Interactive.execute writer "INSERT INTO Flights VALUES (9, 'SF')");
+  (* the writer's lock blocks every grounding read of Flights *)
+  let park me partner =
+    let s = Interactive.start hub in
+    (match Interactive.execute s (entangled_query me partner) with
+    | Interactive.Parked -> ()
+    | _ -> Alcotest.failf "%s should park behind the writer" me);
+    s
+  in
+  let a1 = park "A1" "A2" in
+  let a2 = park "A2" "A1" in
+  let b1 = park "B1" "B2" in
+  let b2 = park "B2" "B1" in
+  (match Interactive.commit writer with
+  | Interactive.Committed -> ()
+  | _ -> Alcotest.fail "writer commits");
+  (* one poll answers all four queries in one round *)
+  (match Interactive.poll a1 with
+  | Interactive.Answered _ -> ()
+  | _ -> Alcotest.fail "a1 answered after the writer commits");
+  Interactive.cancel b1;
+  List.iter
+    (fun (name, s) ->
+      match Interactive.poll s with
+      | Interactive.Answered _ -> ()
+      | _ -> Alcotest.failf "%s must survive the other pair's cancel" name)
+    [ ("a1", a1); ("a2", a2) ];
+  match Interactive.poll b2 with
+  | Interactive.Aborted _ -> ()
+  | _ -> Alcotest.fail "b2 is aborted with its partner"
+
 let test_api_misuse () =
   let _, hub = fresh_hub () in
   let s = Interactive.start hub in
@@ -231,6 +267,8 @@ let () =
           Alcotest.test_case "blocked retry" `Quick test_blocked_statement_retry;
           Alcotest.test_case "empty answer" `Quick test_empty_answer_interactive;
           Alcotest.test_case "three-way cycle" `Quick test_three_way_cycle_interactive;
+          Alcotest.test_case "one round, two components" `Quick
+            test_one_round_two_components;
           Alcotest.test_case "api misuse" `Quick test_api_misuse;
           Alcotest.test_case "parse error aborts" `Quick test_parse_error_aborts_session;
           Alcotest.test_case "constraints" `Quick test_constraint_in_interactive ] ) ]

@@ -96,37 +96,6 @@ let prop_json_roundtrip =
       in
       Json.of_string (Json.to_string obj) = obj)
 
-(* --- span nesting --- *)
-
-let test_span_nesting () =
-  Obs.reset ();
-  Obs.set_tracing true;
-  Fun.protect
-    ~finally:(fun () -> Obs.set_tracing false)
-    (fun () ->
-      let r =
-        Obs.with_span "outer" (fun () ->
-            Obs.with_span "inner" (fun () -> 7))
-      in
-      Alcotest.(check int) "result threaded" 7 r;
-      (try Obs.with_span "raises" (fun () -> failwith "boom") with
-      | Failure _ -> ());
-      let spans = Obs.spans () in
-      Alcotest.(check (list (pair string int)))
-        "names and depths, oldest first"
-        [ ("inner", 1); ("outer", 0); ("raises", 0) ]
-        (List.map (fun s -> (s.Obs.sp_name, s.Obs.sp_depth)) spans);
-      List.iter
-        (fun s ->
-          if s.Obs.sp_dur < 0.0 then Alcotest.fail "negative span duration")
-        spans)
-
-let test_spans_off_by_default () =
-  Obs.reset ();
-  Alcotest.(check bool) "tracing off" false (Obs.tracing ());
-  ignore (Obs.with_span "ignored" (fun () -> ()));
-  Alcotest.(check int) "no spans recorded" 0 (List.length (Obs.spans ()))
-
 (* --- bench document schema validation --- *)
 
 let minimal_doc =
@@ -556,10 +525,6 @@ let () =
         [ Alcotest.test_case "round-trip" `Quick test_snapshot_roundtrip;
           Alcotest.test_case "interning" `Quick test_registry_interning;
           Gen.to_alcotest prop_json_roundtrip ] );
-      ( "spans",
-        [ Alcotest.test_case "nesting" `Quick test_span_nesting;
-          Alcotest.test_case "off by default" `Quick test_spans_off_by_default
-        ] );
       ( "schema",
         [ Alcotest.test_case "accepts valid" `Quick test_schema_accepts_valid;
           Alcotest.test_case "rejects invalid" `Quick
