@@ -719,12 +719,9 @@ let ablation_isolation () =
       in
       let world = Travel.build ~users:world_users ~cities:world_cities ~config () in
       let recorder = Ent_schedule.Recorder.create () in
-      Ent_txn.Engine.set_on_event (Manager.engine world.manager)
-        (Some (Ent_schedule.Recorder.on_engine_event recorder));
-      Scheduler.set_on_entangle (Manager.scheduler world.manager)
-        (Some
-           (fun ~event participants ->
-             Ent_schedule.Recorder.on_entangle recorder ~event participants));
+      Manager.observe world.manager
+        ~on_event:(Ent_schedule.Recorder.on_engine_event recorder)
+        ~on_entangle:(Ent_schedule.Recorder.on_entangle recorder);
       let programs = Gen.batch world ~transactional:true Gen.Entangled ~n ~tag_base:0 in
       let programs =
         List.mapi
@@ -837,42 +834,6 @@ let ablation_coordination_search () =
       Printf.printf "%8d %16.1f\n%!" pairs
         (1e6 *. (t1 -. t0) /. float_of_int iters))
     [ 1; 5; 10; 25; 50; 100 ]
-
-let ablation_evaluation_strategy () =
-  heading
-    "Ablation: entangled query evaluation strategy\n\
-     goal-driven search (Coordinate) vs combined-query compilation [6]\n\
-     (same declarative semantics; wall-clock differs)";
-  let n = max 200 (txns_total / 5) in
-  Printf.printf "%12s %14s %14s %10s\n" "strategy" "sim time (s)"
-    "wall clock (s)" "commits";
-  List.iter
-    (fun (name, evaluation) ->
-      let config =
-        {
-          Scheduler.default_config with
-          connections = 100;
-          trigger = Scheduler.Every_arrivals 20;
-          evaluation;
-        }
-      in
-      let world = Travel.build ~users:world_users ~cities:world_cities ~config () in
-      let t0 = Unix.gettimeofday () in
-      let ids =
-        List.map (Manager.submit world.manager)
-          (Gen.batch world ~transactional:true Gen.Entangled ~n ~tag_base:0)
-      in
-      Manager.drain world.manager;
-      let wall = Unix.gettimeofday () -. t0 in
-      let commits =
-        List.length
-          (List.filter
-             (fun id -> Manager.outcome world.manager id = Some Scheduler.Committed)
-             ids)
-      in
-      Printf.printf "%12s %14.2f %14.3f %10d\n%!" name
-        (Manager.now world.manager) wall commits)
-    [ ("search", Scheduler.Search); ("combined", Scheduler.Combined) ]
 
 (* --- bechamel microbenches --- *)
 
@@ -1400,7 +1361,6 @@ let () =
     run "ablation-isolation" ablation_isolation;
     run "ablation-frequency" ablation_run_frequency;
     run "ablation-search" ablation_coordination_search;
-    run "ablation-strategy" ablation_evaluation_strategy;
     run "micro" microbenches;
     if !metrics_enabled then begin
       Obs.write_snapshot !metrics_path;

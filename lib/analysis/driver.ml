@@ -153,20 +153,14 @@ let record_script ?(isolation = "full") ?(txn_isolation = "2pl")
   in
   let m = Manager.create ~config () in
   let recorder = Ent_schedule.Recorder.create () in
-  Ent_txn.Engine.set_on_event (Manager.engine m)
-    (Some
-       (fun ev ->
-         Ent_schedule.Recorder.on_engine_event recorder ev;
-         Option.iter
-           (fun c -> Ent_schedule.Certify.on_engine_event c ev)
-           certifier));
-  Scheduler.set_on_entangle (Manager.scheduler m)
-    (Some
-       (fun ~event participants ->
-         Ent_schedule.Recorder.on_entangle recorder ~event participants;
-         Option.iter
-           (fun c -> Ent_schedule.Certify.on_entangle c ~event participants)
-           certifier));
+  Manager.observe m
+    ~on_event:(Ent_schedule.Recorder.on_engine_event recorder)
+    ~on_entangle:(Ent_schedule.Recorder.on_entangle recorder);
+  Option.iter
+    (fun c ->
+      Manager.observe m ~on_event:(Ent_schedule.Certify.on_engine_event c)
+        ~on_entangle:(Ent_schedule.Certify.on_entangle c))
+    certifier;
   let access = Ent_sql.Eval.direct_access (Manager.catalog m) in
   let env = Ent_sql.Eval.fresh_env () in
   let count = ref 0 in

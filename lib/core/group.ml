@@ -70,3 +70,19 @@ let components id_of answered =
         g.g_post)
     answered;
   group_by uf (fun (item, _) -> id_of item) answered
+
+let entangle t engine ~event ~txn_of ids =
+  join t ids;
+  (match ids with
+  | first :: _ ->
+    let group = members t first in
+    let tag = List.fold_left min max_int group in
+    List.iter
+      (fun id ->
+        Option.iter
+          (fun txn -> Ent_txn.Engine.set_lock_group engine ~txn ~group:tag)
+          (txn_of id))
+      group
+  | [] -> ());
+  Ent_txn.Engine.log_entangle_group engine ~event
+    ~members:(List.filter_map txn_of ids)

@@ -42,3 +42,20 @@ val components :
   ('a -> int) ->
   ('a * Ent_entangle.Ground.grounding) list ->
   ('a * Ent_entangle.Ground.grounding) list list
+
+(** [entangle t engine ~event ~txn_of ids] records one entanglement
+    operation among the tasks [ids]: it joins them into one group,
+    makes every member of the (possibly merged) group one lock owner,
+    tagged with the group's smallest task id, and logs the operation
+    for entanglement-aware recovery. Members must share lock ownership
+    because they commit or abort together: a member writing a table its
+    partner grounding-read must not self-block the group. [txn_of id]
+    is the live engine transaction of task [id], or [None] once it
+    finished. *)
+val entangle :
+  t ->
+  Ent_txn.Engine.t ->
+  event:int ->
+  txn_of:(int -> int option) ->
+  int list ->
+  unit

@@ -105,19 +105,25 @@ and evaluate_parked hub =
     let entries =
       List.filter_map
         (fun (s, query) ->
-          let access =
-            Ent_txn.Engine.access hub.engine s.txn ~grounding:true
-              ~lock_reads:hub.isolation.lock_grounding_reads ()
-          in
-          match Ground.compute ~access ~env:s.env query with
-          | groundings -> Some (s.id, query, groundings)
-          | exception Ent_txn.Engine.Blocked _ -> None
-          | exception Ent_txn.Engine.Deadlock_victim _ ->
-            abort_group hub s "deadlock during grounding";
+          match s.state with
+          | Failed _ ->
+            (* aborted with a group member that failed earlier in this
+               round: its transaction is finished *)
             None
-          | exception Ground.Ground_error msg ->
-            abort_group hub s msg;
-            None)
+          | _ -> (
+            let access =
+              Ent_txn.Engine.access hub.engine s.txn ~grounding:true
+                ~lock_reads:hub.isolation.lock_grounding_reads ()
+            in
+            match Ground.compute ~access ~env:s.env query with
+            | groundings -> Some (s.id, query, groundings)
+            | exception Ent_txn.Engine.Blocked _ -> None
+            | exception Ent_txn.Engine.Deadlock_victim _ ->
+              abort_group hub s "deadlock during grounding";
+              None
+            | exception Ground.Ground_error msg ->
+              abort_group hub s msg;
+              None))
         parked
     in
     let results = Coordinate.evaluate entries in
@@ -129,50 +135,34 @@ and evaluate_parked hub =
           | Some Coordinate.Empty ->
             (* success with empty answer: deliver nothing, resume *)
             (match s.state with
-            | Parked query ->
-              List.iter
-                (fun (var, _) -> Hashtbl.replace s.env var Ent_storage.Value.Null)
-                query.binds
+            | Parked query -> Executor.bind_answer s.env query None
             | _ -> ());
             s.state <- Active;
             None
           | Some Coordinate.No_partner | None -> None)
         parked
     in
-    (* one entanglement event, group and lock tag per answered
-       component, as in the batch scheduler *)
+    (* one entanglement operation per answered component, as in the
+       batch scheduler *)
+    let txn_of id =
+      List.find_map
+        (fun s ->
+          if s.id = id && Ent_txn.Engine.is_active hub.engine s.txn then
+            Some s.txn
+          else None)
+        hub.sessions
+    in
     List.iter
       (fun component ->
         let event = hub.next_event in
         hub.next_event <- event + 1;
-        let ids = List.map (fun (s, _) -> s.id) component in
-        Group.join hub.groups ids;
-        Ent_txn.Engine.log_entangle_group hub.engine ~event
-          ~members:(List.map (fun (s, _) -> s.txn) component);
-        let tag = List.fold_left min max_int ids in
-        List.iter
-          (fun (s, _) ->
-            Ent_txn.Engine.set_lock_group hub.engine ~txn:s.txn ~group:tag)
-          component)
+        Group.entangle hub.groups hub.engine ~event ~txn_of
+          (List.map (fun (s, _) -> s.id) component))
       (Group.components (fun s -> s.id) answered);
     List.iter
       (fun (s, (g : Ground.grounding)) ->
         (match s.state with
-        | Parked query ->
-          let own =
-            match g.g_head with
-            | (_, values) :: _ -> Some values
-            | [] -> None
-          in
-          List.iter
-            (fun (var, pos) ->
-              let value =
-                match own with
-                | Some vs when pos < List.length vs -> List.nth vs pos
-                | _ -> Ent_storage.Value.Null
-              in
-              Hashtbl.replace s.env var value)
-            query.binds
+        | Parked query -> Executor.bind_answer s.env query (Some g)
         | _ -> ());
         s.received <- g.g_head @ s.received;
         s.state <- Active)

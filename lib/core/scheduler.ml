@@ -38,17 +38,12 @@ type trigger =
   | Every_seconds of float
   | Manual
 
-type evaluation_strategy =
-  | Search
-  | Combined
-
 type config = {
   isolation : Isolation.t;
   connections : int;
   costs : Ent_sim.Cost.t;
   trigger : trigger;
   snapshot_pool : bool;
-  evaluation : evaluation_strategy;
   runner : Ent_par.Pool.t;
 }
 
@@ -59,7 +54,6 @@ let default_config =
     costs = Ent_sim.Cost.default;
     trigger = Every_arrivals 1;
     snapshot_pool = false;
-    evaluation = Search;
     runner = Ent_par.Pool.create ~domains:1;
   }
 
@@ -140,7 +134,6 @@ let create ?(config = default_config) engine =
 
 let engine t = t.engine
 let config t = t.config
-let set_on_entangle t f = t.on_entangle <- f
 
 let add_on_entangle t f =
   match t.on_entangle with
@@ -505,9 +498,9 @@ let ground_one t (task : Executor.task) ir =
     task.status <- Failed (Program_error msg);
     `Gave_up
 
-(* One entanglement operation: number it, join its members' groups,
-   share lock ownership across the whole group, log it, and tell the
-   observers. *)
+(* One entanglement operation: number it, join its members' groups
+   (sharing lock ownership across the whole group and logging it), and
+   tell the observers. *)
 let entangle t run (component : Executor.task list) =
   let event = t.next_event in
   t.next_event <- event + 1;
@@ -522,25 +515,14 @@ let entangle t run (component : Executor.task list) =
           (Event.Partner_match
              { event; peers = List.filter (fun i -> i <> member.task_id) ids }))
       component;
-  Group.join t.groups ids;
-  (* Group members share lock ownership from now on: they will commit
-     or abort together, so a member writing a table its partner
-     grounding-read must not self-block the group. Retag the whole
-     (possibly merged) group. *)
-  (match ids with
-  | first :: _ ->
-    let full_group = Group.members t.groups first in
-    let tag = List.fold_left min max_int full_group in
-    List.iter
-      (fun tid ->
-        match Hashtbl.find_opt run.alive tid with
-        | Some member when Ent_txn.Engine.is_active t.engine member.txn ->
-          Ent_txn.Engine.set_lock_group t.engine ~txn:member.txn ~group:tag
-        | _ -> ())
-      full_group
-  | [] -> ());
-  let txns = List.map (fun (task : Executor.task) -> task.txn) component in
-  Ent_txn.Engine.log_entangle_group t.engine ~event ~members:txns;
+  let txn_of id =
+    match Hashtbl.find_opt run.alive id with
+    | Some (member : Executor.task)
+      when Ent_txn.Engine.is_active t.engine member.txn ->
+      Some member.txn
+    | _ -> None
+  in
+  Group.entangle t.groups t.engine ~event ~txn_of ids;
   match t.on_entangle with
   | Some hook ->
     hook ~event
@@ -565,11 +547,7 @@ let coordinate t run entries =
       (fun ((task : Executor.task), ir, gs) -> (task.task_id, ir, gs))
       entries
   in
-  let results =
-    match t.config.evaluation with
-    | Search -> Coordinate.evaluate entry_triples
-    | Combined -> Combined.evaluate entry_triples
-  in
+  let results = Coordinate.evaluate entry_triples in
   let result_index = Hashtbl.create (List.length results) in
   List.iter
     (fun (task_id, outcome) ->

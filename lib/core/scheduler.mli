@@ -27,17 +27,12 @@ type trigger =
           frequency can be explicitly given as a time interval") *)
   | Manual  (** runs start only via {!run_once} *)
 
-type evaluation_strategy =
-  | Search  (** goal-driven coordination-set search ({!Ent_entangle.Coordinate}) *)
-  | Combined  (** combined-query compilation, the algorithm of [6] ({!Ent_entangle.Combined}) *)
-
 type config = {
   isolation : Isolation.t;
   connections : int;
   costs : Ent_sim.Cost.t;
   trigger : trigger;
   snapshot_pool : bool;  (** persist dormant pool to the WAL after each run *)
-  evaluation : evaluation_strategy;
   runner : Ent_par.Pool.t;
       (** The domain pool that executes the step phase and the
           grounding phase of each run (DESIGN.md §9). The default is a
@@ -82,14 +77,11 @@ val create : ?config:config -> Ent_txn.Engine.t -> t
 val engine : t -> Ent_txn.Engine.t
 val config : t -> config
 
-(** Install a hook called at each entanglement operation with the event
-    id and, per participant, its transaction id and the tables its
+(** Add a hook called at each entanglement operation with the event id
+    and, per participant, its transaction id and the tables its
     grounding read — the information a schedule recorder needs to emit
-    [E] operations and quasi-reads. *)
-val set_on_entangle : t -> (event:int -> (int * string list) list -> unit) option -> unit
-
-(** Add an entanglement hook without displacing the installed one: both
-    run, in installation order. *)
+    [E] operations and quasi-reads. Hooks never displace each other:
+    all run, in installation order. *)
 val add_on_entangle : t -> (event:int -> (int * string list) list -> unit) -> unit
 
 (** [submit t program] adds a transaction to the dormant pool and

@@ -78,6 +78,9 @@ let with_mu mu f =
 let stats t = (t.hits, t.misses, t.invalidations)
 let size t = Entries.length t.entries
 
+let longest_bucket t =
+  with_mu t.mu (fun () -> (Entries.stats t.entries).max_bucket_length)
+
 (* --- host variables referenced by a body --- *)
 
 let rec expr_hosts acc (e : Ent_sql.Ast.expr) =

@@ -64,3 +64,9 @@ val stats : t -> int * int * int
 
 (** Live entry count. *)
 val size : t -> int
+
+(** Length of the entry table's longest hash bucket: the most keys one
+    lookup can compare against. It stays small only while the key hash
+    reaches the literals that tell the entries of one query shape
+    apart. *)
+val longest_bucket : t -> int

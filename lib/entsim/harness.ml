@@ -31,7 +31,6 @@ type config = {
   cities : int;
   max_arms : int;  (* upper bound on generated fault-plan arms *)
   break_group_commit : bool;  (* run without group commit (widow detector test) *)
-  combined : bool;  (* combined-query evaluation instead of coordination search *)
   certify : bool;  (* online schedule certification per epoch *)
   isolation : string;
       (* per-transaction level of the workload: "2pl" (all Strict 2PL),
@@ -50,7 +49,6 @@ let default =
     cities = 6;
     max_arms = 4;
     break_group_commit = false;
-    combined = false;
     certify = false;
     isolation = "2pl";
     timeline = 16;
@@ -86,7 +84,6 @@ let scheduler_config cfg =
        else Isolation.full);
     trigger = Scheduler.Every_arrivals 4;
     snapshot_pool = true;
-    evaluation = (if cfg.combined then Scheduler.Combined else Scheduler.Search);
   }
 
 (* The workload is a fixed deterministic mix; the seed varies the
@@ -257,17 +254,15 @@ let run (cfg : config) plan =
       ~cities:cfg.cities ~config:sched_config ~wal:true ()
   in
   let mgr = ref world.Ent_workload.Travel.manager in
-  (* The recorder replaces any stale hooks (a recovered engine starts
-     clean, but the scheduler hook slot is per-manager anyway); the
-     optional certifier is then added beside it. One certifier per
-     epoch: engine transaction ids restart from the recovered log's
-     high-water mark, so an epoch is a self-contained schedule. *)
+  (* Every epoch's manager is fresh (a recovered engine starts with no
+     observers): the recorder attaches first, the optional certifier
+     beside it. One certifier per epoch: engine transaction ids restart
+     from the recovered log's high-water mark, so an epoch is a
+     self-contained schedule. *)
   let attach m =
     let r = Recorder.create () in
-    Ent_txn.Engine.set_on_event (Manager.engine m)
-      (Some (Recorder.on_engine_event r));
-    Scheduler.set_on_entangle (Manager.scheduler m)
-      (Some (Recorder.on_entangle r));
+    Manager.observe m ~on_event:(Recorder.on_engine_event r)
+      ~on_entangle:(Recorder.on_entangle r);
     let c =
       if not cfg.certify then None
       else begin
@@ -563,7 +558,7 @@ let shrink cfg plan =
 (* The one-line repro command for a failing (config, plan). *)
 let repro cfg plan =
   let flag name v d = if v = d then "" else Printf.sprintf " --%s %d" name v in
-  Printf.sprintf "entsim --seed %d%s%s%s%s%s%s%s%s%s%s%s --plan '%s'" cfg.seed
+  Printf.sprintf "entsim --seed %d%s%s%s%s%s%s%s%s%s%s --plan '%s'" cfg.seed
     (flag "pairs" cfg.pairs default.pairs)
     (flag "rollback-pairs" cfg.rollback_pairs default.rollback_pairs)
     (flag "plain" cfg.plain default.plain)
@@ -571,7 +566,6 @@ let repro cfg plan =
     (flag "users" cfg.users default.users)
     (flag "cities" cfg.cities default.cities)
     (if cfg.break_group_commit then " --break-group-commit" else "")
-    (if cfg.combined then " --combined" else "")
     (if cfg.certify then " --certify" else "")
     (if cfg.isolation = default.isolation then ""
      else " --isolation " ^ cfg.isolation)

@@ -70,7 +70,7 @@ val create : unit -> t
     {!History.expand_quasi_reads}. *)
 val on_op : t -> History.op -> unit
 
-(** Adapter for [Ent_txn.Engine.set_on_event] — same event mapping as
+(** Adapter for [Ent_txn.Engine.add_on_event] — same event mapping as
     {!Recorder.on_engine_event}. *)
 val on_engine_event : t -> Ent_txn.Engine.event -> unit
 

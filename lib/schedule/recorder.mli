@@ -1,7 +1,8 @@
 (** Recording real executions as formal schedules.
 
-    Subscribe {!on_engine_event} to [Ent_txn.Engine.set_on_event] and
-    {!on_entangle} to the scheduler's entanglement hook; {!history}
+    Subscribe {!on_engine_event} and {!on_entangle} to a manager with
+    [Ent_core.Manager.observe] (or to the engine's and scheduler's
+    hooks directly); {!history}
     then returns the execution as a {!History.t} (quasi-reads not yet
     expanded — use {!History.expand_quasi_reads}). *)
 

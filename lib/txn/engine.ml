@@ -113,7 +113,7 @@ type t = {
   pending : event Region.buffer;
 }
 
-let create ?(wal = false) ?on_event catalog =
+let create ?(wal = false) catalog =
   {
     catalog;
     locks = Lock.create ();
@@ -121,7 +121,7 @@ let create ?(wal = false) ?on_event catalog =
     txns = Hashtbl.create 32;
     next_txn = 1;
     wakeups = [];
-    on_event;
+    on_event = None;
     constraints = [];
     write_seq = Atomic.make 0;
     commit_stamp = Atomic.make 0;
@@ -142,7 +142,6 @@ let with_mu mu f =
 let catalog t = t.catalog
 let log t = t.wal
 let locks t = t.locks
-let set_on_event t f = t.on_event <- f
 
 let add_on_event t f =
   match t.on_event with
@@ -223,24 +222,18 @@ let begin_txn ?(isolation = Serializable_2pl) t =
   Obs.incr m_begins;
   id
 
-let is_active t id =
+let live_txn t id =
   with_mu t.mu (fun () ->
       match Hashtbl.find_opt t.txns id with
-      | Some txn -> not txn.finished
-      | None -> false)
+      | Some txn when not txn.finished -> Some txn
+      | _ -> None)
+
+let is_active t id = Option.is_some (live_txn t id)
 
 let find_txn t id =
-  with_mu t.mu (fun () ->
-      match Hashtbl.find_opt t.txns id with
-      | Some txn when not txn.finished -> txn
-      | _ ->
-        invalid_arg (Printf.sprintf "Engine: transaction %d is not active" id))
-
-let level_of t id =
-  with_mu t.mu (fun () ->
-      match Hashtbl.find_opt t.txns id with
-      | Some txn -> txn.level
-      | None -> Serializable_2pl)
+  match live_txn t id with
+  | Some txn -> txn
+  | None -> invalid_arg (Printf.sprintf "Engine: transaction %d is not active" id)
 
 (* Snapshot visibility: writer [w]'s effects belong to [self]'s
    snapshot when [w] is the bootstrap pseudo-transaction, [self]
@@ -297,62 +290,77 @@ let record_write t txn table_name row before after =
     (Write { txn = txn.id; table = table_name; row; before; after });
   emit t (Ev_write (txn.id, table_name, row))
 
-let access_2pl t txn_id ~grounding ~lock_reads () : Ent_sql.Eval.access =
-  let read_table name =
-    (* Full scans take a table-level shared lock whether grounding or
-       not: there is no finer lock that protects against phantoms. *)
-    if lock_reads then acquire t txn_id (Lock.Table name) Lock.S;
-    if grounding then begin
-      let txn = find_txn t txn_id in
-      if not (List.mem name txn.grounding_tables) then
-        txn.grounding_tables <- name :: txn.grounding_tables;
-      emit t (Ev_grounding_read (txn_id, name))
-    end
-    else emit t (Ev_read (txn_id, T_table name))
+(* A grounding read registers its table as a quasi-read of the
+   transaction (§3.3.3) and reports it to the observers. *)
+let register_grounding t txn name =
+  if not (List.mem name txn.grounding_tables) then
+    txn.grounding_tables <- name :: txn.grounding_tables;
+  emit t (Ev_grounding_read (txn.id, name))
+
+(* The isolation levels differ only in how reads see data and lock it.
+   A 2PL read takes a table-level lock up front (S for full scans,
+   which no finer lock protects against phantoms, and for every
+   grounding read; IS for classical indexed reads, plus a row S lock per
+   row actually consumed, so a LIMIT that stops early locks only the
+   rows it saw). A snapshot read takes NO lock — the central MVCC
+   payoff: it reconstructs the rows as of the begin stamp from the
+   version chains, and its grounding reads still register their
+   quasi-read tables, they just cannot block behind writers. Writes are
+   the same at both levels: IX on the table plus X on the row, a
+   writer-tagged version, and a logged write. A snapshot writer leaves
+   conflicts with concurrently committed writers to commit-time
+   first-committer-wins validation ({!validate_snapshot}); an
+   update/delete whose victim row already vanished from the live table
+   is doomed there anyway and raises [Si_conflict] at once. *)
+let access t txn_id ~grounding ?(lock_reads = true) () : Ent_sql.Eval.access =
+  let txn = find_txn t txn_id in
+  let snapshot = txn.level = Snapshot in
+  let lock_reads = lock_reads && not snapshot in
+  let open_read name mode =
+    if lock_reads then acquire t txn_id (Lock.Table name) mode;
+    if grounding then register_grounding t txn name
   in
-  let read_rows name =
-    (* Indexed lookups take an intention lock here plus row locks on the
-       returned rows; grounding lookups escalate to a table lock. *)
-    if lock_reads then
-      if grounding then acquire t txn_id (Lock.Table name) Lock.S
-      else acquire t txn_id (Lock.Table name) Lock.IS;
-    if grounding then begin
-      let txn = find_txn t txn_id in
-      if not (List.mem name txn.grounding_tables) then
-        txn.grounding_tables <- name :: txn.grounding_tables;
-      emit t (Ev_grounding_read (txn_id, name))
-    end
+  let rows name seq =
+    if grounding then seq
+    else
+      Seq.map
+        (fun (id, row) ->
+          if lock_reads then acquire t txn_id (Lock.Row (name, id)) Lock.S;
+          emit t (Ev_read (txn_id, T_row (name, id)));
+          (id, row))
+        seq
   in
-  let lock_row name row =
-    if lock_reads && not grounding then
-      acquire t txn_id (Lock.Row (name, row)) Lock.S;
-    if not grounding then emit t (Ev_read (txn_id, T_row (name, row)))
+  let to_seq, lookup_seq, range_seq =
+    if snapshot then
+      let visible = visible_of t txn_id txn.begin_ts in
+      ( Table.to_seq_at ~visible,
+        (fun table ~positions key ->
+          Table.lookup_seq_at table ~positions key ~visible),
+        fun table ~position ~lo ~hi ->
+          Table.range_lookup_seq_at table ~position ~lo ~hi ~visible )
+    else (Table.to_seq, Table.lookup_seq, Table.range_lookup_seq)
   in
   let write_locks name row =
     acquire t txn_id (Lock.Table name) Lock.IX;
     acquire t txn_id (Lock.Row (name, row)) Lock.X
   in
+  let missing_row what =
+    if snapshot then raise (Si_conflict txn_id)
+    else raise (Ent_sql.Eval.Eval_error (what ^ " of missing row"))
+  in
   {
     schema_of = (fun name -> Table.schema (table_of t name));
     scan =
       (fun name ->
-        (* the table-level lock is taken up front; rows then stream
-           without further locking *)
-        read_table name;
-        Table.to_seq (table_of t name));
+        open_read name Lock.S;
+        if not grounding then emit t (Ev_read (txn_id, T_table name));
+        to_seq (table_of t name));
     lookup =
       (fun name ~positions key ->
-        read_rows name;
-        (* row S locks attach to the stream: a consumer that stops
-           early (LIMIT) locks only the rows it actually saw *)
-        Seq.map
-          (fun (id, row) ->
-            lock_row name id;
-            (id, row))
-          (Table.lookup_seq (table_of t name) ~positions key));
+        open_read name (if grounding then Lock.S else Lock.IS);
+        rows name (lookup_seq (table_of t name) ~positions key));
     insert =
       (fun name row ->
-        let txn = find_txn t txn_id in
         acquire t txn_id (Lock.Table name) Lock.IX;
         let id = Table.insert ~writer:txn_id (table_of t name) row in
         (match Lock.request t.locks ~txn:txn_id (Lock.Row (name, id)) Lock.X with
@@ -362,18 +370,16 @@ let access_2pl t txn_id ~grounding ~lock_reads () : Ent_sql.Eval.access =
         id);
     update =
       (fun name id row ->
-        let txn = find_txn t txn_id in
         write_locks name id;
         match Table.update ~writer:txn_id (table_of t name) id row with
         | Some before -> record_write t txn name id (Some before) (Some row)
-        | None -> raise (Ent_sql.Eval.Eval_error "update of missing row"));
+        | None -> missing_row "update");
     delete =
       (fun name id ->
-        let txn = find_txn t txn_id in
         write_locks name id;
         match Table.delete ~writer:txn_id (table_of t name) id with
         | Some before -> record_write t txn name id (Some before) None
-        | None -> raise (Ent_sql.Eval.Eval_error "delete of missing row"));
+        | None -> missing_row "delete");
     create =
       (fun name schema ->
         (* DDL inside transactions is not part of the paper's model;
@@ -406,127 +412,12 @@ let access_2pl t txn_id ~grounding ~lock_reads () : Ent_sql.Eval.access =
         Table.add_ordered_index table ~position:(Schema.index_of schema column));
     range =
       (fun name ~position ~lo ~hi ->
-        (* like an indexed lookup: intention lock plus row locks *)
-        read_rows name;
-        Seq.map
-          (fun (id, row) ->
-            lock_row name id;
-            (id, row))
-          (Table.range_lookup_seq (table_of t name) ~position ~lo ~hi));
+        open_read name (if grounding then Lock.S else Lock.IS);
+        rows name (range_seq (table_of t name) ~position ~lo ~hi));
     has_range =
       (fun name position -> Table.has_ordered_index (table_of t name) ~position);
     drop = (fun name -> Catalog.drop t.catalog name);
   }
-
-(* Snapshot data access: every read reconstructs the row state as of
-   the transaction's begin stamp from the version chains and takes NO
-   lock — the central MVCC payoff; grounding reads still register
-   their quasi-read tables and emit grounding events, they just cannot
-   block behind writers. Writes keep the 2PL write locks (IX + row X),
-   tag the version chain with the writer, and leave conflicts with
-   concurrently committed writers to commit-time first-committer-wins
-   validation ({!validate_snapshot}); an update/delete whose victim
-   row already vanished from the live table is doomed there anyway and
-   raises [Si_conflict] immediately. *)
-let access_snapshot t txn_id ~grounding () : Ent_sql.Eval.access =
-  let begin_ts = (find_txn t txn_id).begin_ts in
-  let visible = visible_of t txn_id begin_ts in
-  let register_grounding name =
-    let txn = find_txn t txn_id in
-    if not (List.mem name txn.grounding_tables) then
-      txn.grounding_tables <- name :: txn.grounding_tables;
-    emit t (Ev_grounding_read (txn_id, name))
-  in
-  let row_events name seq =
-    if grounding then seq
-    else
-      Seq.map
-        (fun (id, row) ->
-          emit t (Ev_read (txn_id, T_row (name, id)));
-          (id, row))
-        seq
-  in
-  let write_locks name row =
-    acquire t txn_id (Lock.Table name) Lock.IX;
-    acquire t txn_id (Lock.Row (name, row)) Lock.X
-  in
-  {
-    schema_of = (fun name -> Table.schema (table_of t name));
-    scan =
-      (fun name ->
-        if grounding then register_grounding name
-        else emit t (Ev_read (txn_id, T_table name));
-        Table.to_seq_at (table_of t name) ~visible);
-    lookup =
-      (fun name ~positions key ->
-        if grounding then register_grounding name;
-        row_events name
-          (Table.lookup_seq_at (table_of t name) ~positions key ~visible));
-    insert =
-      (fun name row ->
-        let txn = find_txn t txn_id in
-        acquire t txn_id (Lock.Table name) Lock.IX;
-        let id = Table.insert ~writer:txn_id (table_of t name) row in
-        (match Lock.request t.locks ~txn:txn_id (Lock.Row (name, id)) Lock.X with
-        | Lock.Granted -> ()
-        | Lock.Waiting -> assert false (* fresh row: no competitors *));
-        record_write t txn name id None (Some row);
-        id);
-    update =
-      (fun name id row ->
-        let txn = find_txn t txn_id in
-        write_locks name id;
-        match Table.update ~writer:txn_id (table_of t name) id row with
-        | Some before -> record_write t txn name id (Some before) (Some row)
-        | None -> raise (Si_conflict txn_id));
-    delete =
-      (fun name id ->
-        let txn = find_txn t txn_id in
-        write_locks name id;
-        match Table.delete ~writer:txn_id (table_of t name) id with
-        | Some before -> record_write t txn name id (Some before) None
-        | None -> raise (Si_conflict txn_id));
-    create =
-      (fun name schema -> ignore (create_table t name schema));
-    create_index =
-      (fun name columns ->
-        let table = table_of t name in
-        let schema = Table.schema table in
-        let positions =
-          List.map
-            (fun c ->
-              if Schema.mem schema c then Schema.index_of schema c
-              else
-                raise
-                  (Ent_sql.Eval.Eval_error
-                     (Printf.sprintf "CREATE INDEX: unknown column %s on %s" c name)))
-            columns
-        in
-        Table.add_index table ~positions);
-    create_ordered_index =
-      (fun name column ->
-        let table = table_of t name in
-        let schema = Table.schema table in
-        if not (Schema.mem schema column) then
-          raise
-            (Ent_sql.Eval.Eval_error
-               (Printf.sprintf "CREATE ORDERED INDEX: unknown column %s on %s"
-                  column name));
-        Table.add_ordered_index table ~position:(Schema.index_of schema column));
-    range =
-      (fun name ~position ~lo ~hi ->
-        if grounding then register_grounding name;
-        row_events name
-          (Table.range_lookup_seq_at (table_of t name) ~position ~lo ~hi ~visible));
-    has_range =
-      (fun name position -> Table.has_ordered_index (table_of t name) ~position);
-    drop = (fun name -> Catalog.drop t.catalog name);
-  }
-
-let access t txn_id ~grounding ?(lock_reads = true) () =
-  match level_of t txn_id with
-  | Snapshot -> access_snapshot t txn_id ~grounding ()
-  | Serializable_2pl -> access_2pl t txn_id ~grounding ~lock_reads ()
 
 (* Reproduce the locking side effects of a grounding computation
    without re-reading the data: used when a cached grounding is served,
@@ -538,10 +429,7 @@ let touch_grounding_tables t txn_id ?(lock_reads = true) tables =
     (fun name ->
       ignore (table_of t name);
       if lock_reads then acquire t txn_id (Lock.Table name) Lock.S;
-      let txn = find_txn t txn_id in
-      if not (List.mem name txn.grounding_tables) then
-        txn.grounding_tables <- name :: txn.grounding_tables;
-      emit t (Ev_grounding_read (txn_id, name)))
+      register_grounding t (find_txn t txn_id) name)
     tables
 
 let add_constraint t ~name predicate =
@@ -554,51 +442,11 @@ let violated_constraint t =
 
 let savepoint t txn_id = (find_txn t txn_id).write_count
 
-(* Undo writes down to a savepoint, logging compensations so that
-   redo-only recovery replays to the right state. *)
-let rollback_to t txn_id sp =
-  let txn = find_txn t txn_id in
-  let rec undo () =
-    if txn.write_count > sp then begin
-      match txn.writes with
-      | [] -> assert false
-      | w :: rest ->
-        txn.writes <- rest;
-        txn.write_count <- txn.write_count - 1;
-        Obs.incr m_undone;
-        let table = table_of t w.w_table in
-        (* compensations carry the aborting writer's tag too, so a
-           snapshot that deems the txn visible sees write+undo as a
-           pair and lands back on the pre-transaction image *)
-        (match w.w_before, w.w_after with
-        | None, Some _ -> ignore (Table.delete ~writer:txn_id table w.w_row)
-        | Some before, Some _ ->
-          ignore (Table.update ~writer:txn_id table w.w_row before)
-        | Some before, None -> Table.restore ~writer:txn_id table w.w_row before
-        | None, None -> ());
-        log_record t
-          (Write
-             {
-               txn = txn_id;
-               table = w.w_table;
-               row = w.w_row;
-               before = w.w_after;
-               after = w.w_before;
-             });
-        undo ()
-    end
-  in
-  undo ()
-
-let finish t txn =
-  txn.finished <- true;
-  let woken = Lock.release_all t.locks ~txn:txn.id in
-  with_mu t.mu (fun () ->
-      if txn.level = Snapshot then Hashtbl.remove t.snapshots txn.id;
-      t.wakeups <- t.wakeups @ woken)
-
-(* Undo one write (compensation-logged, writer-tagged like
-   [rollback_to]). *)
+(* Undo one write: restore the before-image and log the compensation
+   so that redo-only recovery replays to the right state. Compensations
+   carry the undoing writer's tag too, so a snapshot that deems the
+   transaction visible sees write+undo as a pair and lands back on the
+   pre-transaction image. *)
 let undo_write t txn_id (w : write) =
   Obs.incr m_undone;
   let table = table_of t w.w_table in
@@ -618,34 +466,51 @@ let undo_write t txn_id (w : write) =
          after = w.w_before;
        })
 
-(* Abort a whole entanglement group. Group members share lock
+(* Undo writes down to a savepoint, newest first. *)
+let rollback_to t txn_id sp =
+  let txn = find_txn t txn_id in
+  let rec undo () =
+    if txn.write_count > sp then
+      match txn.writes with
+      | [] -> assert false
+      | w :: rest ->
+        txn.writes <- rest;
+        txn.write_count <- txn.write_count - 1;
+        undo_write t txn_id w;
+        undo ()
+  in
+  undo ()
+
+let finish t txn =
+  txn.finished <- true;
+  let woken = Lock.release_all t.locks ~txn:txn.id in
+  with_mu t.mu (fun () ->
+      if txn.level = Snapshot then Hashtbl.remove t.snapshots txn.id;
+      t.wakeups <- t.wakeups @ woken)
+
+(* Abort transactions together. Entanglement-group members share lock
    ownership, so their writes to the same row interleave; restoring
    before-images per member would resurrect overwritten values. Undo
    the MERGED write log of all members in reverse global order. *)
-let abort_group t txn_ids =
-  let members = List.filter (fun id -> is_active t id) txn_ids in
-  let tagged =
-    List.concat_map
-      (fun id ->
-        let txn = find_txn t id in
-        List.map (fun w -> (id, w)) txn.writes)
-      members
-  in
-  let ordered =
-    List.sort (fun (_, a) (_, b) -> Int.compare b.w_seq a.w_seq) tagged
-  in
-  List.iter (fun (id, w) -> undo_write t id w) ordered;
+let abort_txns t ~reason txns =
+  List.concat_map (fun txn -> List.map (fun w -> (txn.id, w)) txn.writes) txns
+  |> List.sort (fun (_, a) (_, b) -> Int.compare b.w_seq a.w_seq)
+  |> List.iter (fun (id, w) -> undo_write t id w);
   List.iter
-    (fun id ->
-      let txn = find_txn t id in
+    (fun txn ->
       txn.writes <- [];
       txn.write_count <- 0;
-      log_record t (Abort id);
-      emit t (Ev_abort id);
-      Event.emit ~txn:id (Event.Abort { reason = "group" });
+      log_record t (Abort txn.id);
+      emit t (Ev_abort txn.id);
+      Event.emit ~txn:txn.id (Event.Abort { reason });
       Obs.incr m_aborts;
       finish t txn)
-    members
+    txns
+
+let abort_group t txn_ids =
+  abort_txns t ~reason:"group" (List.filter_map (live_txn t) txn_ids)
+
+let abort t txn_id = abort_txns t ~reason:"rollback" [ find_txn t txn_id ]
 
 (* First-committer-wins validation: a snapshot transaction may commit
    only if no other transaction committed a write to any of its written
@@ -681,15 +546,6 @@ let commit t txn_id =
   emit t (Ev_commit txn_id);
   Event.emit ~txn:txn_id Event.Commit;
   Obs.incr m_commits;
-  finish t txn
-
-let abort t txn_id =
-  let txn = find_txn t txn_id in
-  rollback_to t txn_id 0;
-  log_record t (Abort txn_id);
-  emit t (Ev_abort txn_id);
-  Event.emit ~txn:txn_id (Event.Abort { reason = "rollback" });
-  Obs.incr m_aborts;
   finish t txn
 
 (* Sharp checkpoint: only legal at quiescence. *)

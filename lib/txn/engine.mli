@@ -53,18 +53,16 @@ type t
 
 (** [create ~wal catalog] wraps an existing catalog. With [~wal:true]
     every change is logged and {!log} is available for recovery tests.
-    [on_event] feeds the schedule recorder. *)
-val create : ?wal:bool -> ?on_event:(event -> unit) -> Catalog.t -> t
+    Observers attach with {!add_on_event}. *)
+val create : ?wal:bool -> Catalog.t -> t
 
 val catalog : t -> Catalog.t
 val log : t -> Wal.t option
 val locks : t -> Lock.t
 
-(** Replace the event listener (used to attach a recorder after setup). *)
-val set_on_event : t -> (event -> unit) option -> unit
-
-(** Add a listener without displacing the installed one: both run, in
-    installation order. Lets a certifier observe alongside a recorder. *)
+(** Add an event listener without displacing the installed ones: all
+    run, in installation order. Lets a certifier observe alongside a
+    schedule recorder. *)
 val add_on_event : t -> (event -> unit) -> unit
 
 (** Inside a parallel region ({!Ent_obs.Region.running}) observer
@@ -96,12 +94,21 @@ val begin_txn : ?isolation:level -> t -> int
 (** True when the id denotes a live (begun, not yet finished) txn. *)
 val is_active : t -> int -> bool
 
-(** [access t txn] is the locked {!Ent_sql.Eval.access} view for a
-    transaction. [grounding] selects table-level shared locks on reads
-    (used while grounding entangled queries, §3.3.3); classical reads
-    take intention locks plus row locks on lookups and table locks on
-    full scans. The [lock_reads] flag (default true) exists so relaxed
-    isolation levels can skip read locks entirely. *)
+(** [access t txn] is the {!Ent_sql.Eval.access} view for an active
+    transaction, one builder for both levels. Only reads differ by
+    level. A [Serializable_2pl] transaction reads the live tables under
+    locks: [grounding] selects table-level shared locks (used while
+    grounding entangled queries, §3.3.3); classical reads take
+    intention locks plus row locks on lookups and table locks on full
+    scans; [lock_reads] (default true) exists so relaxed isolation
+    levels can skip read locks entirely. A [Snapshot] transaction reads
+    its begin-stamp snapshot and takes no read lock whatever
+    [lock_reads] says. Writes take IX on the table and X on the row at
+    both levels; an update or delete of a vanished row raises
+    {!Si_conflict} for a snapshot transaction and
+    {!Ent_sql.Eval.Eval_error} under 2PL. Grounding reads register
+    their tables as quasi-reads at both levels.
+    @raise Invalid_argument when the transaction is not active. *)
 val access : t -> int -> grounding:bool -> ?lock_reads:bool -> unit -> Ent_sql.Eval.access
 
 (** [touch_grounding_tables t txn tables] acquires the table-S
@@ -140,14 +147,17 @@ val validate_snapshot : t -> int -> (string * int) option
     write set for first-committer-wins validation of others. *)
 val commit : t -> int -> unit
 
-(** Abort: undoes all writes, logs, releases locks, queues wake-ups. *)
+(** Abort: undoes all writes, logs, releases locks, queues wake-ups —
+    {!abort_group} of one transaction, reported with reason
+    ["rollback"].
+    @raise Invalid_argument when the transaction is not active. *)
 val abort : t -> int -> unit
 
 (** Abort several transactions of one entanglement group together.
     Group members share lock ownership and may have interleaved writes
     to the same rows; this undoes their merged write log in reverse
-    order, which per-member {!abort} cannot do safely. Inactive ids are
-    skipped. *)
+    order, which aborting members one by one cannot do safely.
+    Inactive ids are skipped. *)
 val abort_group : t -> int list -> unit
 
 (** Record that the listed transactions entangled (event id is

@@ -646,6 +646,37 @@ let prop_gcache_transparent =
             served = Ground.compute ~access ~env queries.(qi))
         ops)
 
+(* Entangled-T friend-pair bodies differ only in deep literals (the
+   partner's name and the pair's tag), past where polymorphic hashing
+   stops looking. A shallow key hash files them all in one bucket, so
+   every lookup compares against every entry. *)
+let test_gcache_buckets_spread () =
+  let world = Ent_workload.Travel.build ~users:500 ~cities:12 ~wal:false () in
+  let catalog = Ent_core.Manager.catalog world.manager in
+  let access = Eval.direct_access catalog in
+  let cache = Gcache.create catalog in
+  List.iter
+    (fun (p : Ent_core.Program.t) ->
+      (* leading SELECTs bind the host variables the query reads *)
+      let env = Eval.fresh_env () in
+      let rec first_entangled = function
+        | (Ast.Entangled e, _) :: _ -> Some (Translate.of_ast ~env e)
+        | ((Ast.Select _ as s), _) :: rest ->
+          ignore (Eval.exec_stmt access env s);
+          first_entangled rest
+        | _ -> None
+      in
+      Option.iter
+        (fun ir -> ignore (Gcache.compute cache ~access ~touch:ignore ~env ir))
+        (first_entangled p.ast.body))
+    (Ent_workload.Gen.batch world ~transactional:true Ent_workload.Gen.Entangled
+       ~n:2000 ~tag_base:0);
+  let entries = Gcache.size cache in
+  if entries < 1000 then Alcotest.failf "only %d distinct groundings" entries;
+  let longest = Gcache.longest_bucket cache in
+  if longest > 16 then
+    Alcotest.failf "%d of %d entries share one bucket" longest entries
+
 (* --- property: coordination soundness --- *)
 
 let prop_coordination_sound =
@@ -723,7 +754,9 @@ let () =
           Alcotest.test_case "unrelated write keeps entry" `Quick
             test_gcache_unrelated_write_keeps_entry;
           Alcotest.test_case "footprint write invalidates" `Quick
-            test_gcache_footprint_write_invalidates ] );
+            test_gcache_footprint_write_invalidates;
+          Alcotest.test_case "entries spread across buckets" `Quick
+            test_gcache_buckets_spread ] );
       ( "properties",
         List.map Gen.to_alcotest
           [ prop_coordination_sound;

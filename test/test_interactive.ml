@@ -207,6 +207,93 @@ let test_one_round_two_components () =
   | Interactive.Aborted _ -> ()
   | _ -> Alcotest.fail "b2 is aborted with its partner"
 
+let test_merged_group_shares_locks () =
+  (* A entangles with B, then B with C: the second operation merges all
+     three into one group, which must stay one lock owner. Were only B
+     and C retagged, A's insert would block B's scan of the same table
+     and the group could never commit. *)
+  let _, hub = fresh_hub () in
+  let a = Interactive.start hub in
+  let b = Interactive.start hub in
+  let c = Interactive.start hub in
+  let answered s me partner =
+    match Interactive.execute s (entangled_query me partner) with
+    | Interactive.Answered _ -> ()
+    | _ -> Alcotest.failf "%s should be answered" me
+  in
+  ignore (Interactive.execute a (entangled_query "A" "B"));
+  answered b "B" "A";
+  ignore (Interactive.execute b (entangled_query "B" "C"));
+  answered c "C" "B";
+  (match Interactive.execute a "INSERT INTO Bookings VALUES ('A', @fno)" with
+  | Interactive.Affected 1 -> ()
+  | _ -> Alcotest.fail "a books");
+  (match Interactive.execute b "SELECT who FROM Bookings" with
+  | Interactive.Rows [ [| Value.Str "A" |] ] -> ()
+  | Interactive.Blocked -> Alcotest.fail "b blocked behind its own group"
+  | _ -> Alcotest.fail "b should read a's booking");
+  List.iter
+    (fun s ->
+      match Interactive.commit s with
+      | Interactive.Commit_pending -> ()
+      | _ -> Alcotest.fail "early members wait for the group")
+    [ a; b ];
+  (match Interactive.commit c with
+  | Interactive.Committed -> ()
+  | _ -> Alcotest.fail "the whole group commits");
+  match Interactive.poll a with
+  | Interactive.Committed -> ()
+  | _ -> Alcotest.fail "a committed with the group"
+
+let test_grounding_deadlock_skips_aborted_partner () =
+  (* B and A entangle and both park again; A's grounding deadlocks with
+     a classical session W and aborts the group. B, parked in the same
+     round, is aborted with it and must not ground on its finished
+     transaction: no exception escapes, and no lock request is left
+     behind for a transaction that will never release it. *)
+  let _, hub = fresh_hub () in
+  let b = Interactive.start hub in
+  let a = Interactive.start hub in
+  let expect what reply ok =
+    if not (ok reply) then Alcotest.fail what
+  in
+  let affected = function Interactive.Affected 1 -> true | _ -> false in
+  let aborted = function Interactive.Aborted _ -> true | _ -> false in
+  (* grounds on Bookings; its partner never arrives *)
+  let bookings_query me =
+    Printf.sprintf
+      "SELECT '%s', who INTO ANSWER Q WHERE (who) IN (SELECT who FROM \
+       Bookings) AND ('Nobody', who) IN ANSWER Q CHOOSE 1"
+      me
+  in
+  ignore (Interactive.execute b (entangled_query "B" "A"));
+  expect "a and b entangle"
+    (Interactive.execute a (entangled_query "A" "B"))
+    (function Interactive.Answered _ -> true | _ -> false);
+  let w = Interactive.start hub in
+  expect "w books" (Interactive.execute w "INSERT INTO Bookings VALUES ('W', 1)")
+    affected;
+  expect "a adds a flight"
+    (Interactive.execute a "INSERT INTO Flights VALUES (9, 'SF')")
+    affected;
+  expect "w waits for a's insert"
+    (Interactive.execute w "SELECT fno FROM Flights")
+    (( = ) Interactive.Blocked);
+  expect "b parks behind w's booking"
+    (Interactive.execute b (bookings_query "B"))
+    (( = ) Interactive.Parked);
+  expect "a's grounding closes the cycle"
+    (Interactive.execute a (bookings_query "A"))
+    aborted;
+  expect "b aborts with its group" (Interactive.poll b) aborted;
+  expect "w proceeds once the group is gone" (Interactive.poll w)
+    (function Interactive.Rows rows -> List.length rows = 3 | _ -> false);
+  expect "w commits" (Interactive.commit w) (( = ) Interactive.Committed);
+  let x = Interactive.start hub in
+  expect "a later writer of Bookings must not block"
+    (Interactive.execute x "INSERT INTO Bookings VALUES ('X', 2)")
+    affected
+
 let test_api_misuse () =
   let _, hub = fresh_hub () in
   let s = Interactive.start hub in
@@ -269,6 +356,10 @@ let () =
           Alcotest.test_case "three-way cycle" `Quick test_three_way_cycle_interactive;
           Alcotest.test_case "one round, two components" `Quick
             test_one_round_two_components;
+          Alcotest.test_case "merged group shares locks" `Quick
+            test_merged_group_shares_locks;
+          Alcotest.test_case "deadlock skips aborted partner" `Quick
+            test_grounding_deadlock_skips_aborted_partner;
           Alcotest.test_case "api misuse" `Quick test_api_misuse;
           Alcotest.test_case "parse error aborts" `Quick test_parse_error_aborts_session;
           Alcotest.test_case "constraints" `Quick test_constraint_in_interactive ] ) ]

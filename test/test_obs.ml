@@ -361,15 +361,14 @@ let prop_entangle_edges =
       with_event_log @@ fun () ->
       let m = Gen.travel_manager () in
       let coordinated : (int, int list) Hashtbl.t = Hashtbl.create 8 in
-      Scheduler.set_on_entangle (Manager.scheduler m)
-        (Some
-           (fun ~event participants ->
-             let tasks =
-               List.filter_map
-                 (fun (txn, _tables) -> Event.task_of_txn txn)
-                 participants
-             in
-             Hashtbl.replace coordinated event tasks));
+      Scheduler.add_on_entangle (Manager.scheduler m)
+        (fun ~event participants ->
+          let tasks =
+            List.filter_map
+              (fun (txn, _tables) -> Event.task_of_txn txn)
+              participants
+          in
+          Hashtbl.replace coordinated event tasks);
       List.iter (fun p -> ignore (Manager.submit m p)) programs;
       Manager.drain m;
       let matches =
